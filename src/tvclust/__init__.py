@@ -17,8 +17,6 @@ from .clustering import (
 )
 from .generators import SbmTvParams, sbm_static, sbm_tv_sequence
 from .graphs import (
-    Laplacian,
-    StackedVector,
     TVGraphSequence,
     WeightedGraph,
     build_laplacian,
@@ -53,14 +51,12 @@ __all__ = [
     "AccuracyReport",
     "EmbeddingSequence",
     "LabelSequence",
-    "Laplacian",
     "OrthogonalityBasis",
     "PointFrameSequence",
     "SbmTvParams",
     "SolveResult",
     "SolverConfig",
     "SolverError",
-    "StackedVector",
     "StepSizeError",
     "TVGraphSequence",
     "WeightedGraph",

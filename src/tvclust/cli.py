@@ -6,6 +6,7 @@ paths, shape mismatches), 2 runtime failure (solver breakdown and other errors).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -15,35 +16,17 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import fileio
-from .clustering import align_sequence, static_sc, tv_cluster_multi_detailed, tv_cluster_two
+from . import __version__, fileio
+from .clustering import static_sc, tv_cluster_multi_detailed, tv_cluster_two
+from .experiments import DENSE_FULL, total_mismatch, trial_seeds
 from .generators import SbmTvParams, sbm_tv_sequence
-from .graphs import build_laplacian
-from .metrics import eigengap_profile, mismatch_count, pair_accuracy
+from .graphs import TVGraphSequence, build_laplacian
+from .metrics import eigengap_profile, pair_accuracy
 from .pointcloud import downsample, knn_graph, load_frames
-from .graphs import TVGraphSequence
 from .solver import SolverConfig, SolverError
 
-_SBM_DEFAULTS = {
-    "n_per_cluster": 50,
-    "k": 3,
-    "t_len": 100,
-    "p_intra": 0.3,
-    "p_inter": 0.2,
-    "flip_prob": 0.01,
-    "seed": 0,
-}
-
-_SOLVER_DEFAULTS = {
-    "alpha": 1.0,
-    "gamma1": None,
-    "gamma2": None,
-    "epsilon": None,
-    "sigma": 1e-5,
-    "max_iters": 20000,
-    "restarts": 1,
-    "seed": 0,
-}
+_SBM_DEFAULTS = dataclasses.asdict(DENSE_FULL)
+_SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
 
 
 def _guarded(f):
@@ -83,10 +66,6 @@ def _pick(flag, config: dict, key: str, default):
     return default
 
 
-def _trial_seeds(seed: int, trials: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
-
-
 def _outdir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,7 +84,7 @@ def _solver_config(config: dict, seed: int, **flags) -> SolverConfig:
 
 
 @click.group()
-@click.version_option(package_name="tvclust")
+@click.version_option(version=__version__)
 def main():
     """Cluster the nodes of time-varying graphs with temporal label smoothness."""
 
@@ -130,7 +109,7 @@ def cmd_generate_sbm(out_path, config_path, trials, **flags):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     out = _outdir(out_path)
-    seeds = _trial_seeds(int(params["seed"]), trials)
+    seeds = trial_seeds(int(params["seed"]), trials)
     for idx in range(trials):
         p = SbmTvParams(
             n_per_cluster=int(params["n_per_cluster"]),
@@ -182,7 +161,7 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
     seed = int(_pick(seed, config, "seed", 0))
     inputs = _graph_inputs(graph_path)
     out = _outdir(out_path)
-    seeds = _trial_seeds(seed, len(inputs))
+    seeds = trial_seeds(seed, len(inputs))
     for idx, path in enumerate(inputs):
         seq = fileio.read_tvg(path)
         started = time.perf_counter()
@@ -199,7 +178,7 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
             report.update(
                 iterations=[r.iters for r in results],
                 converged=all(r.converged for r in results),
-                final_objective=[float(r.objective_trace[-1]) for r in results],
+                final_objective=[r.objective for r in results],
             )
         report["wall_time_s"] = time.perf_counter() - started
         fileio.write_labels(out / f"est_{path.stem}.lbl", labels)
@@ -268,11 +247,7 @@ def cmd_evaluate(est_path, truth_path, out_path, svg):
         columns.append(
             [pair_accuracy(est.frame(t), truth.frame(t)) for t in range(est.t_len)]
         )
-        aligned = align_sequence(est)
-        mismatch_total += sum(
-            mismatch_count(aligned.frame(t), aligned.frame(t - 1))
-            for t in range(1, aligned.t_len)
-        )
+        mismatch_total += total_mismatch(est)
     acc = np.asarray(columns).T  # (t_len, trials)
     mean_col = acc.mean(axis=1)
     header = "t," + ",".join(f"acc_{i:03d}" for i in range(acc.shape[1])) + ",mean"

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .graphs import StackedVector, TVGraphSequence, build_laplacian, smallest_eigenvectors
+from .graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
 from .solver import OrthogonalityBasis, SolveResult, SolverConfig, pds_solve
 
 # spawn_key tags keep the warm-start / k-means streams disjoint from the solver's
@@ -201,10 +201,10 @@ def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
     that frame's Laplacian, so this reduces to its own spectral start.
     """
     t_len = len(Ls)
-    n = Ls[0].n
+    n = Ls[0].shape[0]
     m = min(basis.n_dirs + 1, n)
     V = basis.vectors
-    avg = sum(L.matrix for L in Ls).toarray() / t_len
+    avg = sum(Ls).toarray() / t_len
     _, vecs = scipy.linalg.eigh(avg, subset_by_index=(0, m - 1))
     x0 = vecs[:, m - 1]
     C = np.empty((t_len, n))
@@ -230,9 +230,8 @@ def tv_cluster_two(seq: TVGraphSequence, cfg: SolverConfig) -> tuple[LabelSequen
     Ls = [build_laplacian(g) for g in seq.graphs]
     basis = OrthogonalityBasis.all_ones(seq.t_len, seq.n)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG))
-    init = StackedVector.from_frames(_warm_start(Ls, basis, rng))
-    res = pds_solve(Ls, basis, cfg, init)
-    labels = (res.c.frames() < 0).astype(np.int64)
+    res = pds_solve(Ls, basis, cfg, _warm_start(Ls, basis, rng))
+    labels = (res.c < 0).astype(np.int64)
     return LabelSequence(labels, 2), res
 
 
@@ -252,9 +251,8 @@ def tv_cluster_multi_detailed(
     results: list[SolveResult] = []
     cols = []
     for _ in range(k - 1):
-        init = StackedVector.from_frames(_warm_start(Ls, basis, warm_rng))
-        res = pds_solve(Ls, basis, cfg, init)
-        C = res.c.frames()
+        res = pds_solve(Ls, basis, cfg, _warm_start(Ls, basis, warm_rng))
+        C = res.c
         results.append(res)
         cols.append(C)
         unit = C / np.linalg.norm(C, axis=1, keepdims=True)

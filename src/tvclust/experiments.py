@@ -9,7 +9,7 @@ import numpy as np
 from .clustering import LabelSequence, align_sequence, static_sc, tv_cluster_multi
 from .generators import SbmTvParams, sbm_tv_sequence
 from .graphs import TVGraphSequence
-from .metrics import accuracy_report
+from .metrics import accuracy_report, mismatch_count
 from .pointcloud import PointFrameSequence, knn_graph
 from .solver import SolverConfig
 
@@ -44,12 +44,14 @@ def recommended_alpha(params: SbmTvParams) -> float:
 def total_mismatch(ls: LabelSequence) -> int:
     """Total frame-to-frame label changes after chain alignment."""
     aligned = align_sequence(ls)
-    return int(
-        sum(
-            (aligned.frame(t) != aligned.frame(t - 1)).sum()
-            for t in range(1, aligned.t_len)
-        )
+    return sum(
+        mismatch_count(aligned.frame(t), aligned.frame(t - 1)) for t in range(1, aligned.t_len)
     )
+
+
+def trial_seeds(seed: int, n: int) -> list[int]:
+    """n independent 64-bit per-trial seeds derived from one base seed."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
 def run_sbm_trial(params: SbmTvParams, cfg: SolverConfig) -> TrialOutcome:
@@ -78,12 +80,10 @@ def compare_methods(
         raise ValueError("n_trials must be >= 1")
     if cfg is None:
         cfg = SolverConfig(alpha=recommended_alpha(params))
-    trial_seeds = np.random.SeedSequence(base_seed).generate_state(n_trials, dtype=np.uint64)
-    outcomes = []
-    for s in trial_seeds:
-        p = replace(params, seed=int(s))
-        outcomes.append(run_sbm_trial(p, replace(cfg, seed=int(s))))
-    return outcomes
+    return [
+        run_sbm_trial(replace(params, seed=s), replace(cfg, seed=s))
+        for s in trial_seeds(base_seed, n_trials)
+    ]
 
 
 def make_articulated_cloud(

@@ -88,27 +88,6 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, num_edges={self.num_edges})"
 
 
-class Laplacian:
-    """Combinatorial Laplacian (degrees on the diagonal minus adjacency), stored sparse."""
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, matrix: scipy.sparse.csr_matrix):
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("Laplacian must be square")
-        self.n = int(matrix.shape[0])
-        self.matrix = matrix
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def __matmul__(self, x):
-        return self.matrix @ x
-
-    def __repr__(self) -> str:
-        return f"Laplacian(n={self.n})"
-
-
 @dataclass(frozen=True, eq=False)
 class TVGraphSequence:
     """Graphs over a fixed registered node set, one per time slot."""
@@ -138,61 +117,27 @@ class TVGraphSequence:
         return self.graphs == other.graphs
 
 
-@dataclass(frozen=True, eq=False)
-class StackedVector:
-    """Frame-major concatenation of one length-n vector per time slot."""
-
-    values: np.ndarray
-    n_nodes: int
-
-    def __post_init__(self):
-        if int(self.n_nodes) < 1:
-            raise ValueError("n_nodes must be >= 1")
-        object.__setattr__(self, "n_nodes", int(self.n_nodes))
-        v = np.array(self.values, dtype=float).reshape(-1)
-        if v.size == 0 or v.size % self.n_nodes != 0:
-            raise ValueError("length must be an exact multiple of n_nodes")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def t_len(self) -> int:
-        return self.values.size // self.n_nodes
-
-    def frames(self) -> np.ndarray:
-        """(t_len, n_nodes) read-only view."""
-        return self.values.reshape(self.t_len, self.n_nodes)
-
-    @classmethod
-    def from_frames(cls, frames) -> "StackedVector":
-        arr = np.asarray(frames, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("expected a (t_len, n) array")
-        return cls(arr.reshape(-1), arr.shape[1])
-
-
 class MaxEigenvalue(NamedTuple):
     value: float
     converged: bool
 
 
-def build_laplacian(g: WeightedGraph) -> Laplacian:
-    """L with node degrees on the diagonal and -w off-diagonal; rows sum to zero."""
+def build_laplacian(g: WeightedGraph) -> scipy.sparse.csr_matrix:
+    """Combinatorial Laplacian in CSR: degrees on the diagonal, -w off it; rows sum to zero."""
     i, j, w = g.edge_arrays()
     diag = np.arange(g.n)
     rows = np.concatenate([i, j, diag])
     cols = np.concatenate([j, i, diag])
     vals = np.concatenate([-w, -w, g.degrees()])
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    return Laplacian(mat)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
 
 
-def quadratic_form(L: Laplacian, f) -> float:
+def quadratic_form(L: scipy.sparse.csr_matrix, f) -> float:
     """f' L f, the edge-weighted sum of squared signal differences (halved double sum)."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (L.n,):
-        raise ValueError(f"signal has shape {f.shape}, expected ({L.n},)")
-    return float(f @ (L.matrix @ f))
+    if f.shape != (L.shape[0],):
+        raise ValueError(f"signal has shape {f.shape}, expected ({L.shape[0]},)")
+    return float(f @ (L @ f))
 
 
 _POWER_START_SEED = 0x5EED1E55
@@ -218,7 +163,7 @@ def _power_iteration(mat, tol: float, max_iters: int) -> tuple[float, bool]:
 
 
 def max_eigenvalue(
-    Ls: Sequence[Laplacian], tol: float = 1e-8, max_iters: int = 10000
+    Ls: Sequence[scipy.sparse.csr_matrix], tol: float = 1e-8, max_iters: int = 10000
 ) -> MaxEigenvalue:
     """Largest eigenvalue over a block-diagonal family, by per-block power iteration.
 
@@ -230,38 +175,31 @@ def max_eigenvalue(
     best = 0.0
     all_ok = True
     for L in Ls:
-        lam, ok = _power_iteration(L.matrix, tol, max_iters)
+        lam, ok = _power_iteration(L, tol, max_iters)
         best = max(best, lam)
         all_ok = all_ok and ok
     return MaxEigenvalue(best, all_ok)
 
 
-def smallest_eigenvectors(L: Laplacian, m: int) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenvectors(L: scipy.sparse.csr_matrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m smallest eigenpairs, ascending; eigenvectors orthonormal, as columns."""
-    if not 1 <= m <= L.n:
-        raise ValueError(f"m must be in [1, {L.n}], got {m}")
-    vals, vecs = scipy.linalg.eigh(L.dense(), subset_by_index=(0, m - 1))
+    n = L.shape[0]
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in [1, {n}], got {m}")
+    vals, vecs = scipy.linalg.eigh(L.toarray(), subset_by_index=(0, m - 1))
     return vals, vecs
 
 
-def temporal_diff_frames(frames: np.ndarray) -> np.ndarray:
+def temporal_diff(frames: np.ndarray) -> np.ndarray:
     """Frame 0 maps to zero; frame t >= 1 maps to frames[t] - frames[t-1]."""
     out = np.zeros_like(frames)
     out[1:] = frames[1:] - frames[:-1]
     return out
 
 
-def temporal_diff_adjoint_frames(frames: np.ndarray) -> np.ndarray:
-    """Adjoint of temporal_diff_frames; frame 0 of the input never contributes."""
+def temporal_diff_adjoint(frames: np.ndarray) -> np.ndarray:
+    """Adjoint of temporal_diff; frame 0 of the input never contributes."""
     out = np.zeros_like(frames)
     out[1:] += frames[1:]
     out[:-1] -= frames[1:]
     return out
-
-
-def temporal_diff(c: StackedVector) -> StackedVector:
-    return StackedVector.from_frames(temporal_diff_frames(c.frames()))
-
-
-def temporal_diff_adjoint(d: StackedVector) -> StackedVector:
-    return StackedVector.from_frames(temporal_diff_adjoint_frames(d.frames()))

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .clustering import LabelSequence
-from .graphs import Laplacian, WeightedGraph, smallest_eigenvectors
+from .graphs import WeightedGraph, smallest_eigenvectors
 
 
 def pair_accuracy(est, truth) -> float:
@@ -57,7 +58,7 @@ def ratiocut(g: WeightedGraph, labels, k: int) -> float:
     return total
 
 
-def eigengap_profile(L: Laplacian, m: int) -> np.ndarray:
+def eigengap_profile(L: scipy.sparse.csr_matrix, m: int) -> np.ndarray:
     """Consecutive differences of the m smallest eigenvalues (m - 1 gaps)."""
     vals, _ = smallest_eigenvectors(L, m)
     return np.diff(vals)

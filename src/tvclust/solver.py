@@ -8,17 +8,12 @@ slabs |c_t . v| <= eps for every constraint direction v of that frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .graphs import (
-    Laplacian,
-    StackedVector,
-    max_eigenvalue,
-    temporal_diff_adjoint_frames,
-    temporal_diff_frames,
-)
+from .graphs import max_eigenvalue, temporal_diff, temporal_diff_adjoint
 from .prox import prox_conjugate, prox_sphere_frames, soft_threshold
 
 SLAB_FEAS_TOL = 1e-8
@@ -109,24 +104,28 @@ class OrthogonalityBasis:
             raise ValueError("expected one direction per frame")
         return OrthogonalityBasis(np.concatenate([self.vectors, d[:, None, :]], axis=1))
 
-    def max_cross_coherence(self) -> float:
-        """Largest |cos angle| between distinct directions within any frame."""
-        v = self.vectors / np.linalg.norm(self.vectors, axis=2, keepdims=True)
-        gram = np.einsum("tln,tmn->tlm", v, v)
-        off = gram - np.eye(self.n_dirs)[None]
-        return float(np.max(np.abs(off))) if self.n_dirs > 1 else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Converged primal vector, dual variables, and iteration diagnostics."""
+    """Returned primal iterate, its dual variables, its objective, and iteration diagnostics.
 
-    c: StackedVector
-    d1: StackedVector
-    d2: StackedVector
+    `c`, `d1` and `d2` are read-only (t_len, n) arrays; `objective` is the objective
+    of `c`, while `objective_trace` holds the objectives of the iterates visited.
+    """
+
+    c: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
     iters: int
     converged: bool
+    objective: float
     objective_trace: np.ndarray
+
+    def __post_init__(self):
+        for name in ("c", "d1", "d2"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
 
 def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
@@ -177,7 +176,7 @@ def _is_feasible(C: np.ndarray, V: np.ndarray, eps: float) -> bool:
 
 
 def _objective(C: np.ndarray, LC: np.ndarray, alpha: float) -> float:
-    return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff_frames(C)).sum())
+    return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
 
 
 def _polish(C, Lblock, V, Vsq, eps, alpha, rounds: int = 3):
@@ -219,11 +218,11 @@ def _iterate(Lblock, V, Vsq, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_r
         trace[it - 1] = obj
         if best is None or obj < best[3]:
             best = (C, D1, D2, obj)
-        pre = C - g1 * (LC + D1 + temporal_diff_adjoint_frames(D2))
+        pre = C - g1 * (LC + D1 + temporal_diff_adjoint(D2))
         Cn = prox_sphere_frames(pre, degenerate_rng=perturb_rng)
         Chat = 2.0 * Cn - C
         D1n = prox_conjugate(prox_slabs, g2, D1 + g2 * Chat)
-        D2n = prox_conjugate(prox_l1, g2, D2 + g2 * temporal_diff_frames(Chat))
+        D2n = prox_conjugate(prox_l1, g2, D2 + g2 * temporal_diff(Chat))
         if not (
             np.all(np.isfinite(Cn)) and np.all(np.isfinite(D1n)) and np.all(np.isfinite(D2n))
         ):
@@ -258,10 +257,10 @@ def _random_init(rng, t_len, n, V, Vsq):
 
 
 def pds_solve(
-    Ls: list[Laplacian],
+    Ls: Sequence[scipy.sparse.csr_matrix],
     basis: OrthogonalityBasis,
     cfg: SolverConfig,
-    init: StackedVector,
+    init: np.ndarray,
 ) -> SolveResult:
     """Run the splitting iteration, returning the best-objective result over restarts.
 
@@ -269,17 +268,18 @@ def pds_solve(
     <= cfg.sigma and the iterate satisfies all frame constraints within tolerance,
     or at cfg.max_iters. The `converged` flag reports whether the former happened;
     a capped run returns its best-objective iterate re-projected onto the
-    constraints instead of the final one.
+    constraints instead of the final one. `init` is the (t_len, n) start of the
+    first restart.
     """
     t_len = len(Ls)
     if t_len == 0:
         raise ValueError("need at least one Laplacian")
-    n = Ls[0].n
-    if any(L.n != n for L in Ls):
-        raise ValueError("all Laplacian blocks must share one dimension")
+    n = Ls[0].shape[0]
+    if any(L.shape != (n, n) for L in Ls):
+        raise ValueError("all Laplacian blocks must be square and share one dimension")
     if basis.t_len != t_len or basis.n_nodes != n:
         raise ValueError("basis shape does not match the Laplacian sequence")
-    if init.n_nodes != n or init.t_len != t_len:
+    if np.shape(init) != (t_len, n):
         raise ValueError("init shape does not match the Laplacian sequence")
 
     beta = max_eigenvalue(Ls).value
@@ -289,7 +289,7 @@ def pds_solve(
     check_step_sizes(g1, g2, beta)
     eps = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * np.sqrt(n)
 
-    Lblock = scipy.sparse.block_diag([L.matrix for L in Ls], format="csr")
+    Lblock = scipy.sparse.block_diag(Ls, format="csr")
     V = basis.vectors
     Vsq = np.einsum("tln,tln->tl", V, V)
 
@@ -300,7 +300,7 @@ def pds_solve(
         ).spawn(2)
         perturb_rng = np.random.default_rng(perturb_ss)
         if r == 0:
-            C0 = init.frames().copy()
+            C0 = np.array(init, dtype=float)
         else:
             C0 = _random_init(np.random.default_rng(init_ss), t_len, n, V, Vsq)
         run = _iterate(
@@ -309,12 +309,7 @@ def pds_solve(
         if best is None or run[3] < best[3]:
             best = run
 
-    C, D1, D2, _, iters, converged, trace = best
+    C, D1, D2, obj, iters, converged, trace = best
     return SolveResult(
-        c=StackedVector.from_frames(C),
-        d1=StackedVector.from_frames(D1),
-        d2=StackedVector.from_frames(D2),
-        iters=iters,
-        converged=converged,
-        objective_trace=trace,
+        c=C, d1=D1, d2=D2, iters=iters, converged=converged, objective=obj, objective_trace=trace
     )

@@ -134,14 +134,14 @@ def test_c03_constraint_feasibility_on_converged_solves():
             dirs = np.ones((seq.t_len, 1, n))
             for r in results:
                 bases.append(dirs.copy())
-                C = r.c.frames()
+                C = r.c
                 unit = C / np.linalg.norm(C, axis=1, keepdims=True)
                 dirs = np.concatenate([dirs, unit[:, None, :]], axis=1)
         for r, V in zip(results, bases):
             if not r.converged:
                 continue
             checked += 1
-            C = r.c.frames()
+            C = r.c
             worst_slab = max(worst_slab, float(np.abs(np.einsum("tn,tln->tl", C, V)).max()) - eps)
             worst_norm = max(
                 worst_norm, float(np.abs(np.einsum("tn,tn->t", C, C) - n).max()) / n

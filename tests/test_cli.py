@@ -6,9 +6,16 @@ from click.testing import CliRunner
 
 from tvclust import fileio
 from tvclust.cli import main
-from tvclust.clustering import LabelSequence
+from tvclust.clustering import LabelSequence, tv_cluster_two
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
-from tvclust.graphs import TVGraphSequence, WeightedGraph
+from tvclust.graphs import (
+    TVGraphSequence,
+    WeightedGraph,
+    build_laplacian,
+    quadratic_form,
+    temporal_diff,
+)
+from tvclust.solver import SolverConfig
 
 
 @pytest.fixture
@@ -20,6 +27,12 @@ def small_sequence(seed=0):
     params = SbmTvParams(n_per_cluster=6, k=2, t_len=4, p_intra=0.9, p_inter=0.1,
                          flip_prob=0.05, seed=seed)
     return sbm_tv_sequence(params)
+
+
+def test_version_from_source_tree(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0, res.output
+    assert "0.1.0" in res.output
 
 
 class TestFileFormats:
@@ -118,6 +131,27 @@ class TestCluster:
         assert labels.t_len == seq.t_len and labels.n == seq.n and labels.k == 2
         report = json.loads((out / "report_g.json").read_text())
         assert {"iterations", "converged", "final_objective", "wall_time_s"} <= report.keys()
+
+    def test_final_objective_describes_returned_iterate(self, runner, tmp_path):
+        # a capped solve: the last iterate visited is not the one returned
+        seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--k", "2", "--alpha", "2.0", "--max-iters", "200", "--seed", "4",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "report_g.json").read_text())
+        cfg = SolverConfig(alpha=2.0, max_iters=200, seed=report["seed"])
+        labels, solve = tv_cluster_two(seq, cfg)
+        assert np.array_equal(fileio.read_labels(out / "est_g.lbl").labels, labels.labels)
+        C = solve.c
+        quad = sum(quadratic_form(build_laplacian(g), c) for g, c in zip(seq.graphs, C))
+        want = 0.5 * quad + cfg.alpha * float(np.abs(temporal_diff(C)).sum())
+        assert report["converged"] is False
+        assert report["final_objective"] == [pytest.approx(want, rel=1e-12)]
 
     def test_static_sc_report_has_no_solver_fields(self, runner, tmp_path):
         seq, _ = small_sequence(seed=2)

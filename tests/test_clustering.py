@@ -152,7 +152,7 @@ class TestTvClusterTwo:
         g = cliques([5, 5], 10)
         seq = TVGraphSequence((g, g))
         est, res = tv_cluster_two(seq, SolverConfig(seed=15))
-        scaled = (3.7 * res.c.frames() < 0).astype(np.int64)
+        scaled = (3.7 * res.c < 0).astype(np.int64)
         assert np.array_equal(scaled, est.labels)
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvclust.graphs import (
-    StackedVector,
     TVGraphSequence,
     WeightedGraph,
     build_laplacian,
@@ -13,8 +12,6 @@ from tvclust.graphs import (
     smallest_eigenvectors,
     temporal_diff,
     temporal_diff_adjoint,
-    temporal_diff_adjoint_frames,
-    temporal_diff_frames,
 )
 
 
@@ -67,23 +64,23 @@ class TestWeightedGraph:
 class TestBuildLaplacian:
     def test_two_node_unit_edge(self):
         L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        assert np.allclose(L.dense(), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.allclose(L.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_empty_graph_is_zero(self):
         L = build_laplacian(WeightedGraph(3))
-        assert np.array_equal(L.dense(), np.zeros((3, 3)))
+        assert np.array_equal(L.toarray(), np.zeros((3, 3)))
 
     def test_unit_triangle(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         expect = np.full((3, 3), -1.0)
         np.fill_diagonal(expect, 2.0)
-        assert np.allclose(build_laplacian(g).dense(), expect)
+        assert np.allclose(build_laplacian(g).toarray(), expect)
 
     def test_row_sums_and_degree_diagonal(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 15)))
-            L = build_laplacian(g).dense()
+            L = build_laplacian(g).toarray()
             max_deg = max(g.degrees().max(), 1.0)
             assert np.abs(L.sum(axis=1)).max() <= 1e-10 * max_deg
             assert np.allclose(np.diag(L), g.degrees())
@@ -157,7 +154,7 @@ class TestMaxEigenvalue:
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(3, 20)))
             L = build_laplacian(g)
-            want = float(np.linalg.eigvalsh(L.dense()).max())
+            want = float(np.linalg.eigvalsh(L.toarray()).max())
             assert max_eigenvalue([L]).value == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
@@ -189,7 +186,7 @@ class TestSmallestEigenvectors:
         g = random_graph(rng, 12)
         L = build_laplacian(g)
         vals, vecs = smallest_eigenvectors(L, 5)
-        dense = L.dense()
+        dense = L.toarray()
         scale = max(float(np.linalg.norm(dense, 2)), 1e-12)
         for i in range(5):
             res = np.linalg.norm(dense @ vecs[:, i] - vals[i] * vecs[:, i])
@@ -206,24 +203,24 @@ class TestSmallestEigenvectors:
 
 class TestTemporalDiff:
     def test_stationary_sequence_maps_to_zero(self):
-        c = StackedVector(np.tile([1.0, 2.0, 3.0], 4), 3)
-        assert np.array_equal(temporal_diff(c).values, np.zeros(12))
+        c = np.tile([1.0, 2.0, 3.0], (4, 1))
+        assert np.array_equal(temporal_diff(c), np.zeros((4, 3)))
 
     def test_single_frame_maps_to_zero(self):
-        c = StackedVector(np.array([5.0, -1.0]), 2)
-        assert np.array_equal(temporal_diff(c).values, np.zeros(2))
+        c = np.array([[5.0, -1.0]])
+        assert np.array_equal(temporal_diff(c), np.zeros((1, 2)))
 
     def test_two_frames_by_hand(self):
-        c = StackedVector(np.array([1.0, 1.0, 3.0, 0.0]), 2)
-        assert np.array_equal(temporal_diff(c).values, [0.0, 0.0, 2.0, -1.0])
+        c = np.array([[1.0, 1.0], [3.0, 0.0]])
+        assert np.array_equal(temporal_diff(c), [[0.0, 0.0], [2.0, -1.0]])
 
     def test_adjoint_zero(self):
-        d = StackedVector(np.zeros(6), 3)
-        assert np.array_equal(temporal_diff_adjoint(d).values, np.zeros(6))
+        d = np.zeros((2, 3))
+        assert np.array_equal(temporal_diff_adjoint(d), np.zeros((2, 3)))
 
     def test_adjoint_two_frames_by_hand(self):
-        d = StackedVector(np.array([0.0, 0.0, 2.0, -1.0]), 2)
-        assert np.array_equal(temporal_diff_adjoint(d).values, [-2.0, 1.0, 2.0, -1.0])
+        d = np.array([[0.0, 0.0], [2.0, -1.0]])
+        assert np.array_equal(temporal_diff_adjoint(d), [[-2.0, 1.0], [2.0, -1.0]])
 
     @given(
         t_len=st.integers(1, 6),
@@ -235,8 +232,8 @@ class TestTemporalDiff:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((t_len, n))
         y = rng.standard_normal((t_len, n))
-        lhs = float(np.vdot(temporal_diff_frames(x), y))
-        rhs = float(np.vdot(x, temporal_diff_adjoint_frames(y)))
+        lhs = float(np.vdot(temporal_diff(x), y))
+        rhs = float(np.vdot(x, temporal_diff_adjoint(y)))
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -249,7 +246,7 @@ class TestTemporalDiff:
     def test_operator_norm_bound(self, t_len, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((t_len, n))
-        assert np.linalg.norm(temporal_diff_frames(x)) <= 2.0 * np.linalg.norm(x) + 1e-12
+        assert np.linalg.norm(temporal_diff(x)) <= 2.0 * np.linalg.norm(x) + 1e-12
 
 
 class TestContainers:
@@ -262,17 +259,3 @@ class TestContainers:
     def test_tv_sequence_nonempty(self):
         with pytest.raises(ValueError):
             TVGraphSequence(())
-
-    def test_stacked_vector_length_check(self):
-        with pytest.raises(ValueError):
-            StackedVector(np.zeros(5), 3)
-
-    def test_stacked_vector_frames_view(self):
-        sv = StackedVector(np.arange(6.0), 3)
-        assert sv.t_len == 2
-        assert np.array_equal(sv.frames(), [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-
-    def test_stacked_vector_readonly(self):
-        sv = StackedVector(np.arange(4.0), 2)
-        with pytest.raises(ValueError):
-            sv.values[0] = 9.0

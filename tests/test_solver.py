@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from tvclust.generators import sbm_static
-from tvclust.graphs import StackedVector, TVGraphSequence, WeightedGraph, build_laplacian, smallest_eigenvectors
+from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
+from tvclust.graphs import (
+    TVGraphSequence,
+    WeightedGraph,
+    build_laplacian,
+    quadratic_form,
+    smallest_eigenvectors,
+    temporal_diff,
+)
 from tvclust.clustering import tv_cluster_two
 from tvclust.solver import (
     OrthogonalityBasis,
@@ -25,7 +32,7 @@ def two_block_graph(seed, n=40, p_in=0.9, p_out=0.05):
 
 
 def assert_feasible(res, basis, eps):
-    C = res.c.frames()
+    C = res.c
     n = C.shape[1]
     sq = np.einsum("tn,tn->t", C, C)
     assert np.abs(sq - n).max() <= NORM_TOL * n
@@ -73,10 +80,15 @@ class TestOrthogonalityBasis:
         with pytest.raises(ValueError):
             OrthogonalityBasis(v)
 
-    def test_cross_coherence_orthonormal(self):
-        vecs = np.stack([np.eye(4)[:2][None, :, :].repeat(3, axis=0)])[0]
-        b = OrthogonalityBasis(vecs)
-        assert b.max_cross_coherence() < 1e-12
+
+class TestSolveResult:
+    def test_arrays_are_readonly_frames(self):
+        g, _ = two_block_graph(seed=19, n=10)
+        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        for v in (res.c, res.d1, res.d2):
+            assert v.shape == (2, g.n)
+            with pytest.raises(ValueError):
+                v[0, 0] = 9.0
 
 
 class TestPdsSolve:
@@ -118,8 +130,8 @@ class TestPdsSolve:
         cfg = SolverConfig(
             alpha=1e4, gamma1=1.0 / (beta + 50.0), gamma2=beta / 10.0, seed=5, max_iters=20000
         )
-        res = pds_solve(Ls, basis, cfg, StackedVector.from_frames(init))
-        C = res.c.frames()
+        res = pds_solve(Ls, basis, cfg, init)
+        C = res.c
         assert np.abs(C[1] - C[0]).max() <= 1e-3
 
     def test_alpha_zero_decouples_frames(self):
@@ -143,7 +155,7 @@ class TestPdsSolve:
         seq = TVGraphSequence((g,) * 4)
         cfg = SolverConfig(alpha=1.5, seed=9)
         _, res = tv_cluster_two(seq, cfg)
-        assert np.abs(res.d2.values).max() <= cfg.alpha + 1e-12
+        assert np.abs(res.d2).max() <= cfg.alpha + 1e-12
 
     def test_determinism_bitwise(self):
         g, _ = two_block_graph(seed=10, n=24)
@@ -151,9 +163,9 @@ class TestPdsSolve:
         cfg = SolverConfig(alpha=1.0, seed=11, restarts=3)
         _, r1 = tv_cluster_two(seq, cfg)
         _, r2 = tv_cluster_two(seq, cfg)
-        assert np.array_equal(r1.c.values, r2.c.values)
-        assert np.array_equal(r1.d1.values, r2.d1.values)
-        assert np.array_equal(r1.d2.values, r2.d2.values)
+        assert np.array_equal(r1.c, r2.c)
+        assert np.array_equal(r1.d1, r2.d1)
+        assert np.array_equal(r1.d2, r2.d2)
         assert r1.iters == r2.iters and r1.converged == r2.converged
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
 
@@ -169,7 +181,7 @@ class TestPdsSolve:
         g, _ = two_block_graph(seed=14, n=10)
         Ls = [build_laplacian(g)]
         basis = OrthogonalityBasis.all_ones(1, g.n)
-        init = StackedVector(np.ones(g.n), g.n)
+        init = np.ones((1, g.n))
         cfg = SolverConfig(gamma1=10.0, gamma2=10.0, seed=0)
         with pytest.raises(StepSizeError):
             pds_solve(Ls, basis, cfg, init)
@@ -178,7 +190,7 @@ class TestPdsSolve:
         g, _ = two_block_graph(seed=15, n=10)
         Ls = [build_laplacian(g)]
         basis = OrthogonalityBasis.all_ones(2, g.n)
-        init = StackedVector(np.ones(g.n), g.n)
+        init = np.ones((1, g.n))
         with pytest.raises(ValueError):
             pds_solve(Ls, basis, SolverConfig(), init)
 
@@ -189,11 +201,22 @@ class TestPdsSolve:
         init = np.ones((2, g.n))
         init[1, 0] = np.inf
         with pytest.raises(SolverError, match="iteration 1"):
-            pds_solve(Ls, basis, SolverConfig(seed=0), StackedVector.from_frames(init))
+            pds_solve(Ls, basis, SolverConfig(seed=0), init)
 
     def test_restarts_return_best_objective(self):
         g, _ = two_block_graph(seed=17, n=20)
         seq = TVGraphSequence((g, g))
         _, res1 = tv_cluster_two(seq, SolverConfig(alpha=1.0, seed=18, restarts=1))
         _, res5 = tv_cluster_two(seq, SolverConfig(alpha=1.0, seed=18, restarts=5))
-        assert res5.objective_trace[-1] <= res1.objective_trace[-1] + 1e-9
+        assert res5.objective <= res1.objective + 1e-9
+
+    def test_objective_describes_returned_iterate(self):
+        # a capped solve returns its polished best iterate, not the last one visited
+        seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
+        cfg = SolverConfig(alpha=2.0, seed=4, max_iters=200)
+        _, res = tv_cluster_two(seq, cfg)
+        assert not res.converged
+        quad = sum(quadratic_form(build_laplacian(g), c) for g, c in zip(seq.graphs, res.c))
+        want = 0.5 * quad + cfg.alpha * float(np.abs(temporal_diff(res.c)).sum())
+        assert res.objective == pytest.approx(want, rel=1e-12)
+        assert res.objective_trace[-1] != pytest.approx(want, rel=1e-3)

@@ -90,63 +90,154 @@ class EmbeddingSequence:
         return self.vectors.shape[2]
 
 
-def _kmeans_pp(pts: np.ndarray, k: int, rng) -> np.ndarray:
+def _kmeans_pp(pts: np.ndarray, k: int, rngs) -> np.ndarray:
+    """(runs, k, d) k-means++ starting centers, one run per generator.
+
+    Each run draws from its own generator as a lone run would: its first center
+    uniformly, each later one with probability proportional to the squared
+    distance to the nearest center so far, or uniformly once that is zero.
+    """
     n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), k, pts.shape[1]))
+    centers[:, 0] = pts[[int(rng.integers(n)) for rng in rngs]]
+    d2 = ((pts - centers[:, 0, None, :]) ** 2).sum(axis=2)
     for c in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+        totals = d2.sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            p = d2 / totals[:, None]
+        idx = [
+            int(rng.choice(n, p=p[r])) if totals[r] > 0.0 else int(rng.integers(n))
+            for r, rng in enumerate(rngs)
+        ]
+        centers[:, c] = pts[idx]
+        d2 = np.minimum(d2, ((pts - centers[:, c, None, :]) ** 2).sum(axis=2))
     return centers
 
 
-def _lloyd(pts: np.ndarray, k: int, rng, max_iters: int) -> tuple[np.ndarray, float]:
+def _reseed_empty(pts: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray):
+    """Move each emptied cluster, in turn, to the current worst-fit point (in place)."""
     n = pts.shape[0]
-    centers = _kmeans_pp(pts, k, rng)
-    assign = None
-    for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new = d2.argmin(axis=1)
-        for c in range(k):
-            if not np.any(new == c):
-                # re-seed an emptied cluster at the current worst-fit point
-                far = int(d2[np.arange(n), new].argmax())
-                centers[c] = pts[far]
-                new[far] = c
-                d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
-        if assign is not None and np.array_equal(new, assign):
-            break
-        assign = new
-        for c in range(k):
-            centers[c] = pts[assign == c].mean(axis=0)
-    wcss = 0.0
-    for c in range(k):
-        mask = assign == c
-        if np.any(mask):
-            ctr = pts[mask].mean(axis=0)
-            wcss += float(((pts[mask] - ctr) ** 2).sum())
-    return assign, wcss
+    for c in range(centers.shape[0]):
+        if not np.any(assign == c):
+            far = int(d2[np.arange(n), assign].argmax())
+            centers[c] = pts[far]
+            assign[far] = c
+            d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
+
+
+def _bins(assign: np.ndarray, k: int) -> np.ndarray:
+    """Flat (run, cluster) bin of every point of a (runs, n) assignment."""
+    return (assign + k * np.arange(assign.shape[0])[:, None]).ravel()
+
+
+def _block_sums(grouped: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive block of `counts` rows of `grouped`, one .sum() per block."""
+    ends = np.cumsum(counts).tolist()
+    return np.array([grouped[e - m : e].sum() for e, m in zip(ends, counts.tolist())])
+
+
+def _cluster_means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """(runs, k, d) means of the points in each cluster of each run's assignment.
+
+    Each mean adds its points in the order pts[mask].mean(axis=0) adds them and
+    divides by the count; an empty cluster gets NaN, as that mean does.
+    """
+    runs = assign.shape[0]
+    d = pts.shape[1]
+    bins = _bins(assign, k)
+    counts = np.bincount(bins, minlength=runs * k)
+    if d == 1:
+        # numpy sums a single column pairwise, not in row order
+        grouped = np.tile(pts[:, 0], runs)[np.argsort(bins, kind="stable")]
+        sums = _block_sums(grouped, counts)[:, None]
+    else:
+        tiled = np.tile(pts, (runs, 1))
+        sums = np.stack(
+            [np.bincount(bins, weights=tiled[:, j], minlength=runs * k) for j in range(d)], axis=1
+        )
+    with np.errstate(invalid="ignore"):
+        return (sums / counts[:, None]).reshape(runs, k, d)
+
+
+def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iters: int) -> np.ndarray:
+    """Lloyd's iterations for every run at once from (runs, k, d) starting centers.
+
+    A run stops once its assignment repeats, or after max_iters assignments; its
+    emptied clusters are re-seeded as a lone run would re-seed them.
+    """
+    runs, k, _ = centers.shape
+    n = pts.shape[0]
+    assign = np.empty((runs, n), dtype=np.intp)
+    active = np.arange(runs)
+    for it in range(max_iters):
+        # one center at a time keeps the temporary at (runs, n, d)
+        d2 = np.empty((active.size, n, k))
+        for c, center in enumerate(centers[active].transpose(1, 0, 2)):
+            diff = pts - center[:, None, :]
+            d2[:, :, c] = np.square(diff, out=diff).sum(axis=2)
+        new = d2.argmin(axis=2)
+        full = (new[:, :, None] == np.arange(k)).any(axis=1).all(axis=1)
+        for i in np.flatnonzero(~full):
+            _reseed_empty(pts, d2[i], new[i], centers[active[i]])
+        if it > 0:
+            moved = (new != assign[active]).any(axis=1)
+            active, new = active[moved], new[moved]
+            if active.size == 0:
+                break
+        assign[active] = new
+        centers[active] = _cluster_means(pts, new, k)
+    return assign
+
+
+def _wcss(pts: np.ndarray, assign: np.ndarray, k: int) -> list[float]:
+    """Within-cluster sum of squares of each run's assignment.
+
+    Each cluster sums its squared deviations as one block, and the clusters add
+    up in label order, so a run scores exactly as it would on its own.
+    """
+    runs = assign.shape[0]
+    d = pts.shape[1]
+    bins = _bins(assign, k)
+    order = np.argsort(bins, kind="stable")
+    means = _cluster_means(pts, assign, k).reshape(runs * k, d)
+    dev = np.tile(pts, (runs, 1))[order] - means[bins[order]]
+    terms = _block_sums(dev**2, np.bincount(bins, minlength=runs * k))
+    scores = []
+    for row in terms.reshape(runs, k).tolist():
+        wcss = 0.0
+        for term in row:
+            wcss += term
+        scores.append(wcss)
+    return scores
 
 
 def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
-    """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS."""
+    """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS.
+
+    The restarts run as one batch; ties in WCSS go to the earliest restart.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rngs = [np.random.default_rng(child) for child in root.spawn(restarts)]
+    centers = _kmeans_pp(pts, k, rngs)
+    assigns = _lloyd(pts, centers, max_iters)
+    # identical assignments score identically, so only the first of each is scored
+    first = {}
+    for r, assign in enumerate(assigns):
+        first.setdefault(assign.tobytes(), r)
+    distinct = assigns[list(first.values())]
     best_assign = None
     best_wcss = np.inf
-    for child in root.spawn(restarts):
-        assign, wcss = _lloyd(pts, k, np.random.default_rng(child), max_iters)
+    for assign, wcss in zip(distinct, _wcss(pts, distinct, k)):
         if wcss < best_wcss:
             best_wcss = wcss
             best_assign = assign

@@ -11,10 +11,17 @@ from .clustering import LabelSequence
 from .graphs import WeightedGraph, smallest_eigenvectors
 
 
+def _same_pairs(counts: np.ndarray) -> int:
+    """Number of unordered pairs drawn within groups of the given sizes."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def pair_accuracy(est, truth) -> float:
     """Fraction of distinct node pairs on which the two labelings agree about
-    co-membership. Invariant to renaming labels on either side. Streams one row
-    at a time, so no n x n indicator matrix is materialized."""
+    co-membership. Invariant to renaming labels on either side. Counts pairs
+    exactly from the contingency table of the two labelings, so no n x n
+    indicator matrix is materialized."""
     est = np.asarray(est)
     truth = np.asarray(truth)
     if est.shape != truth.shape or est.ndim != 1:
@@ -22,11 +29,13 @@ def pair_accuracy(est, truth) -> float:
     n = est.size
     if n < 2:
         raise ValueError("need at least two nodes")
-    agree = 0
-    for i in range(n - 1):
-        same_e = est[i + 1 :] == est[i]
-        same_t = truth[i + 1 :] == truth[i]
-        agree += int((same_e == same_t).sum())
+    # a NaN label equals no label, itself included, so each NaN is its own group
+    _, e = np.unique(est, return_inverse=True, equal_nan=False)
+    _, t = np.unique(truth, return_inverse=True, equal_nan=False)
+    table = np.bincount(e * (t.max() + 1) + t)
+    # pairs split by both labelings = all pairs - same in est - same in truth + same in both
+    both = _same_pairs(table)
+    agree = n * (n - 1) // 2 - _same_pairs(np.bincount(e)) - _same_pairs(np.bincount(t)) + 2 * both
     return 2.0 * agree / (n * (n - 1))
 
 

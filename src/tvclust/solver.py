@@ -7,14 +7,15 @@ slabs |c_t . v| <= eps for every constraint direction v of that frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .graphs import max_eigenvalue, temporal_diff, temporal_diff_adjoint
-from .prox import prox_conjugate, prox_sphere_frames, soft_threshold
+from .graphs import max_eigenvalue, temporal_diff
+from .prox import prox_sphere_frames
 
 SLAB_FEAS_TOL = 1e-8
 SPHERE_FEAS_TOL = 1e-6
@@ -111,6 +112,9 @@ class SolveResult:
 
     `c`, `d1` and `d2` are read-only (t_len, n) arrays; `objective` is the objective
     of `c`, while `objective_trace` holds the objectives of the iterates visited.
+    `beta` is the largest-eigenvalue estimate the step sizes were checked against;
+    `beta_converged` is False when its power iteration hit its cap, in which case
+    beta may underestimate the bound.
     """
 
     c: np.ndarray
@@ -120,6 +124,8 @@ class SolveResult:
     converged: bool
     objective: float
     objective_trace: np.ndarray
+    beta: float
+    beta_converged: bool
 
     def __post_init__(self):
         for name in ("c", "d1", "d2"):
@@ -153,15 +159,21 @@ def check_step_sizes(gamma1: float, gamma2: float, beta: float) -> None:
         )
 
 
-def _project_all_slabs(U: np.ndarray, V: np.ndarray, Vsq: np.ndarray, eps: float) -> np.ndarray:
-    """Sequential per-direction slab projections, vectorized over frames."""
-    out = np.array(U, dtype=float)
-    for l in range(V.shape[1]):
-        vl = V[:, l, :]
+def _project_all_slabs(out: np.ndarray, slabs, eps: float) -> np.ndarray:
+    """Sequential per-direction slab projections of the rows of `out`, in place.
+
+    `slabs` holds one (directions, squared norms) pair per constraint direction,
+    the directions a contiguous (t_len, n) array. Frames already inside a slab
+    stay as they are; usually every frame lies outside, and then no frame needs
+    selecting.
+    """
+    for vl, vsq in slabs:
         s = np.einsum("tn,tn->t", out, vl)
         over = np.abs(s) > eps
-        if np.any(over):
-            coef = (s[over] - np.sign(s[over]) * eps) / Vsq[over, l]
+        if over.all():
+            out -= ((s - np.sign(s) * eps) / vsq)[:, None] * vl
+        elif over.any():
+            coef = (s[over] - np.sign(s[over]) * eps) / vsq[over]
             out[over] -= coef[:, None] * vl[over]
     return out
 
@@ -179,64 +191,124 @@ def _objective(C: np.ndarray, LC: np.ndarray, alpha: float) -> float:
     return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
 
 
-def _polish(C, Lblock, V, Vsq, eps, alpha, rounds: int = 3):
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a contiguous array, bit-identical to np.linalg.norm(x)."""
+    flat = x.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
+def _polish(C, Lblock, V, slabs, eps, alpha, rounds: int = 3):
     """Alternate exact slab projections with the sphere scaling to restore feasibility.
 
     The directions are near-orthogonal, so a few rounds leave the slab residuals
     far below the feasibility tolerance while moving the iterate negligibly.
     """
-    out = C
+    out = C.copy()
     for _ in range(rounds):
-        out = _project_all_slabs(out, V, Vsq, eps)
-        out = prox_sphere_frames(out)
+        out = prox_sphere_frames(_project_all_slabs(out, slabs, eps))
     t_len, n = out.shape
     LC = (Lblock @ out.ravel()).reshape(t_len, n)
     return out, _objective(out, LC, alpha)
 
 
-def _iterate(Lblock, V, Vsq, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_rng):
+def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_rng):
+    """The splitting iteration from C0, on work buffers allocated once.
+
+    Every array operation is the one the operator definitions (temporal_diff and
+    its adjoint, prox_sphere_frames, prox_conjugate of the slab projection and of
+    soft_threshold) would perform, in the same order, so the iterates are
+    bit-identical to composing those functions; only temporaries are avoided.
+    """
     t_len, n = C0.shape
-    C = C0.copy()
-    D1 = np.zeros_like(C)
-    D2 = np.zeros_like(C)
-
-    def prox_l1(y, tau):
-        return soft_threshold(y, tau * alpha)
-
-    def prox_slabs(y, tau):
-        return _project_all_slabs(y, V, Vsq, eps)
+    C, Cn = C0.copy(), np.empty_like(C0)
+    D1, D1n = np.zeros_like(C0), np.empty_like(C0)
+    D2, D2n = np.zeros_like(C0), np.empty_like(C0)
+    best_C, best_D1, best_D2 = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
+    step, chat, work = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
+    diff = np.zeros_like(C0)  # temporal differences; row 0 stays zero
+    diff_rest = diff[1:]
+    scale = np.empty(t_len)
+    sqrt_n = np.sqrt(n)
+    l1_tau = (1.0 / g2) * alpha  # threshold of the l1 prox that prox_conjugate takes at 1/g2
 
     # the sphere constraint makes the problem nonconvex and the iteration can wander,
     # so remember the best-objective iterate seen in case the run does not settle
-    best = None
+    best_obj = None
     trace = np.empty(max_iters + 1)
     LC = (Lblock @ C.ravel()).reshape(t_len, n)
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        obj = _objective(C, LC, alpha)
+        np.subtract(C[1:], C[:-1], out=diff_rest)
+        np.abs(diff, out=diff)
+        obj = 0.5 * float(C.ravel().dot(LC.ravel())) + alpha * float(diff.sum())
         trace[it - 1] = obj
-        if best is None or obj < best[3]:
-            best = (C, D1, D2, obj)
-        pre = C - g1 * (LC + D1 + temporal_diff_adjoint(D2))
-        Cn = prox_sphere_frames(pre, degenerate_rng=perturb_rng)
-        Chat = 2.0 * Cn - C
-        D1n = prox_conjugate(prox_slabs, g2, D1 + g2 * Chat)
-        D2n = prox_conjugate(prox_l1, g2, D2 + g2 * temporal_diff(Chat))
-        if not (
-            np.all(np.isfinite(Cn)) and np.all(np.isfinite(D1n)) and np.all(np.isfinite(D2n))
-        ):
+        if best_obj is None or obj < best_obj:
+            np.copyto(best_C, C)
+            np.copyto(best_D1, D1)
+            np.copyto(best_D2, D2)
+            best_obj = obj
+
+        # primal: C - g1 * (LC + D1 + temporal_diff_adjoint(D2)), scaled onto the sphere
+        step.fill(0.0)
+        step[1:] += D2[1:]
+        step[:-1] -= D2[1:]
+        np.add(LC, D1, out=work)
+        np.add(work, step, out=step)
+        np.multiply(step, g1, out=step)
+        np.subtract(C, step, out=work)
+        np.multiply(work, work, out=step)
+        np.add.reduce(step, axis=1, out=scale)
+        np.sqrt(scale, out=scale)
+        if scale.all():
+            np.divide(sqrt_n, scale, out=scale)
+            np.multiply(work, scale[:, None], out=Cn)
+        else:
+            Cn[...] = prox_sphere_frames(work, degenerate_rng=perturb_rng)
+        np.multiply(Cn, 2.0, out=chat)
+        np.subtract(chat, C, out=chat)
+
+        # slab dual: z - g2 * proj_slabs(z / g2) at z = D1 + g2 * Chat
+        np.multiply(chat, g2, out=work)
+        np.add(D1, work, out=work)
+        np.divide(work, g2, out=step)
+        _project_all_slabs(step, slabs, eps)
+        np.multiply(step, g2, out=step)
+        np.subtract(work, step, out=D1n)
+
+        # temporal dual: z - g2 * soft_threshold(z / g2, l1_tau) at z = D2 + g2 * diff(Chat)
+        np.subtract(chat[1:], chat[:-1], out=diff_rest)
+        np.multiply(diff, g2, out=work)
+        np.add(D2, work, out=work)
+        np.divide(work, g2, out=step)
+        np.abs(step, out=chat)
+        np.subtract(chat, l1_tau, out=chat)
+        np.maximum(0.0, chat, out=chat)
+        np.sign(step, out=step)
+        np.multiply(step, chat, out=step)
+        np.multiply(step, g2, out=step)
+        np.subtract(work, step, out=D2n)
+
+        np.subtract(Cn, C, out=work)
+        delta = _norm(work)
+        # the last iterate passed this test (a non-finite start makes the first step
+        # NaN), so a non-finite entry in the new one shows in the primal step norm or
+        # in a dual sum
+        if not math.isfinite(delta + float(D1n.sum()) + float(D2n.sum())):
             raise SolverError(f"non-finite iterate at iteration {it}")
-        delta = float(np.linalg.norm(Cn - C))
-        base = float(np.linalg.norm(C))
-        # a warm-started primal can sit at a fixed point while the duals are still
-        # ramping, so the duals must have settled too before we may stop
-        delta_d = float(np.sqrt(np.sum((D1n - D1) ** 2) + np.sum((D2n - D2) ** 2)))
-        base_d = float(np.sqrt(np.sum(D1**2) + np.sum(D2**2)))
-        dual_settled = delta_d <= sigma * base_d if base_d > 0.0 else delta_d == 0.0
-        C, D1, D2 = Cn, D1n, D2n
+        primal_settled = delta <= sigma * _norm(C)
+        dual_settled = False
+        if primal_settled:
+            # a warm-started primal can sit at a fixed point while the duals are still
+            # ramping, so the duals must have settled too before we may stop
+            delta_d = math.sqrt(((D1n - D1) ** 2).sum() + ((D2n - D2) ** 2).sum())
+            base_d = math.sqrt((D1**2).sum() + (D2**2).sum())
+            dual_settled = delta_d <= sigma * base_d if base_d > 0.0 else delta_d == 0.0
+        C, Cn = Cn, C
+        D1, D1n = D1n, D1
+        D2, D2n = D2n, D2
         LC = (Lblock @ C.ravel()).reshape(t_len, n)
-        if delta <= sigma * base and dual_settled and _is_feasible(C, V, eps):
+        if primal_settled and dual_settled and _is_feasible(C, V, eps):
             converged = True
             break
     obj = _objective(C, LC, alpha)
@@ -244,15 +316,15 @@ def _iterate(Lblock, V, Vsq, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_r
     if converged:
         # a settled run ends at a feasible fixed point; report the final iterate
         return C, D1, D2, obj, it, converged, trace[: it + 1].copy()
-    if best is None or obj < best[3]:
-        best = (C, D1, D2, obj)
-    Cb, polished_obj = _polish(best[0], Lblock, V, Vsq, eps, alpha)
-    return Cb, best[1], best[2], polished_obj, it, converged, trace[: it + 1].copy()
+    if obj < best_obj:
+        best_C, best_D1, best_D2 = C, D1, D2
+    Cb, polished_obj = _polish(best_C, Lblock, V, slabs, eps, alpha)
+    return Cb, best_D1, best_D2, polished_obj, it, converged, trace[: it + 1].copy()
 
 
-def _random_init(rng, t_len, n, V, Vsq):
+def _random_init(rng, t_len, n, slabs):
     G = rng.standard_normal((t_len, n))
-    G = _project_all_slabs(G, V, Vsq, 0.0)
+    G = _project_all_slabs(G, slabs, 0.0)
     return prox_sphere_frames(G, degenerate_rng=rng)
 
 
@@ -282,7 +354,7 @@ def pds_solve(
     if np.shape(init) != (t_len, n):
         raise ValueError("init shape does not match the Laplacian sequence")
 
-    beta = max_eigenvalue(Ls).value
+    beta, beta_converged = max_eigenvalue(Ls)
     g1_default, g2_default = default_step_sizes(beta, cfg.alpha)
     g1 = cfg.gamma1 if cfg.gamma1 is not None else g1_default
     g2 = cfg.gamma2 if cfg.gamma2 is not None else g2_default
@@ -292,6 +364,10 @@ def pds_solve(
     Lblock = scipy.sparse.block_diag(Ls, format="csr")
     V = basis.vectors
     Vsq = np.einsum("tln,tln->tl", V, V)
+    slabs = [
+        (np.ascontiguousarray(V[:, l]), np.ascontiguousarray(Vsq[:, l]))
+        for l in range(basis.n_dirs)
+    ]
 
     best = None
     for r in range(cfg.restarts):
@@ -302,14 +378,22 @@ def pds_solve(
         if r == 0:
             C0 = np.array(init, dtype=float)
         else:
-            C0 = _random_init(np.random.default_rng(init_ss), t_len, n, V, Vsq)
+            C0 = _random_init(np.random.default_rng(init_ss), t_len, n, slabs)
         run = _iterate(
-            Lblock, V, Vsq, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0, perturb_rng
+            Lblock, V, slabs, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0, perturb_rng
         )
         if best is None or run[3] < best[3]:
             best = run
 
     C, D1, D2, obj, iters, converged, trace = best
     return SolveResult(
-        c=C, d1=D1, d2=D2, iters=iters, converged=converged, objective=obj, objective_trace=trace
+        c=C,
+        d1=D1,
+        d2=D2,
+        iters=iters,
+        converged=converged,
+        objective=obj,
+        objective_trace=trace,
+        beta=beta,
+        beta_converged=beta_converged,
     )

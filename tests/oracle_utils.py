@@ -1,5 +1,7 @@
 """Independent numeric oracles shared by the unit and acceptance suites."""
 
+import warnings
+
 import numpy as np
 import scipy.optimize
 
@@ -53,3 +55,140 @@ def pair_accuracy_oracle(est, truth):
     Q = np.array([[int(est[a] == est[b]) for b in range(n)] for a in range(n)])
     count = int((P == Q).sum())
     return (count - n) / (n * (n - 1))
+
+
+def _kmeans_pp_oracle(pts, k, rng):
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[c] = pts[idx]
+        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def _lloyd_oracle(pts, k, rng, max_iters):
+    n = pts.shape[0]
+    centers = _kmeans_pp_oracle(pts, k, rng)
+    assign = None
+    for _ in range(max_iters):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new = d2.argmin(axis=1)
+        for c in range(k):
+            if not np.any(new == c):
+                # re-seed an emptied cluster at the current worst-fit point
+                far = int(d2[np.arange(n), new].argmax())
+                centers[c] = pts[far]
+                new[far] = c
+                d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        for c in range(k):
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # mean of an emptied cluster
+                centers[c] = pts[assign == c].mean(axis=0)
+    wcss = 0.0
+    for c in range(k):
+        mask = assign == c
+        if np.any(mask):
+            ctr = pts[mask].mean(axis=0)
+            wcss += float(((pts[mask] - ctr) ** 2).sum())
+    return assign, wcss
+
+
+def kmeans_oracle(points, k, seed, restarts=50, max_iters=300):
+    """Sequential k-means: one restart at a time, Lloyd's iterations from k-means++
+    seeding, best restart by WCSS with ties to the earliest."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    best_assign = None
+    best_wcss = np.inf
+    for child in root.spawn(restarts):
+        assign, wcss = _lloyd_oracle(pts, k, np.random.default_rng(child), max_iters)
+        if wcss < best_wcss:
+            best_wcss = wcss
+            best_assign = assign
+    return best_assign
+
+
+def _project_slabs_oracle(U, V, Vsq, eps):
+    out = np.array(U, dtype=float)
+    for l in range(V.shape[1]):
+        vl = V[:, l, :]
+        s = np.einsum("tn,tn->t", out, vl)
+        over = np.abs(s) > eps
+        if np.any(over):
+            coef = (s[over] - np.sign(s[over]) * eps) / Vsq[over, l]
+            out[over] -= coef[:, None] * vl[over]
+    return out
+
+
+def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_rng):
+    """The splitting iteration composed from the operator definitions, allocating
+    every intermediate, as the solver first wrote it. Returns (C, D1, D2, objective,
+    iterations, converged, objective trace) like tvclust.solver._iterate."""
+    from tvclust.graphs import temporal_diff, temporal_diff_adjoint
+    from tvclust.prox import prox_conjugate, prox_sphere_frames, soft_threshold
+    from tvclust.solver import SolverError, _is_feasible
+
+    def objective(C, LC):
+        return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
+
+    t_len, n = C0.shape
+    Vsq = np.einsum("tln,tln->tl", V, V)
+    C = C0.copy()
+    D1 = np.zeros_like(C)
+    D2 = np.zeros_like(C)
+    best = None
+    trace = np.empty(max_iters + 1)
+    LC = (Lblock @ C.ravel()).reshape(t_len, n)
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        obj = objective(C, LC)
+        trace[it - 1] = obj
+        if best is None or obj < best[3]:
+            best = (C, D1, D2, obj)
+        pre = C - g1 * (LC + D1 + temporal_diff_adjoint(D2))
+        Cn = prox_sphere_frames(pre, degenerate_rng=perturb_rng)
+        Chat = 2.0 * Cn - C
+        D1n = prox_conjugate(
+            lambda y, tau: _project_slabs_oracle(y, V, Vsq, eps), g2, D1 + g2 * Chat
+        )
+        D2n = prox_conjugate(
+            lambda y, tau: soft_threshold(y, tau * alpha), g2, D2 + g2 * temporal_diff(Chat)
+        )
+        if not (
+            np.all(np.isfinite(Cn)) and np.all(np.isfinite(D1n)) and np.all(np.isfinite(D2n))
+        ):
+            raise SolverError(f"non-finite iterate at iteration {it}")
+        delta = float(np.linalg.norm(Cn - C))
+        base = float(np.linalg.norm(C))
+        delta_d = float(np.sqrt(np.sum((D1n - D1) ** 2) + np.sum((D2n - D2) ** 2)))
+        base_d = float(np.sqrt(np.sum(D1**2) + np.sum(D2**2)))
+        dual_settled = delta_d <= sigma * base_d if base_d > 0.0 else delta_d == 0.0
+        C, D1, D2 = Cn, D1n, D2n
+        LC = (Lblock @ C.ravel()).reshape(t_len, n)
+        if delta <= sigma * base and dual_settled and _is_feasible(C, V, eps):
+            converged = True
+            break
+    obj = objective(C, LC)
+    trace[it] = obj
+    if converged:
+        return C, D1, D2, obj, it, converged, trace[: it + 1].copy()
+    if best is None or obj < best[3]:
+        best = (C, D1, D2, obj)
+    out = best[0]
+    for _ in range(3):
+        out = prox_sphere_frames(_project_slabs_oracle(out, V, Vsq, eps))
+    LC = (Lblock @ out.ravel()).reshape(t_len, n)
+    return out, best[1], best[2], objective(out, LC), it, converged, trace[: it + 1].copy()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import kmeans_oracle
 from tvclust.clustering import (
     LabelSequence,
+    _cluster_means,
     align_labels,
     align_sequence,
     kmeans,
@@ -75,6 +77,72 @@ class TestKmeans:
         a = kmeans(pts, 3, seed=6)
         b = kmeans(pts, 3, seed=6)
         assert np.array_equal(a, b)
+
+    def test_rejects_no_restarts_or_iterations(self):
+        pts = np.arange(6.0)[:, None]
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, 2, seed=0, restarts=0)
+        with pytest.raises(ValueError, match="max_iters"):
+            kmeans(pts, 2, seed=0, max_iters=0)
+
+    def test_reseeds_like_oracle_on_identical_points(self):
+        # every point ties for the first center, so Lloyd's first pass empties
+        # all other clusters and each is re-seeded
+        pts = np.zeros((7, 2))
+        for k in (2, 3, 7):
+            got = kmeans(pts, k, seed=3, restarts=4)
+            assert np.array_equal(got, kmeans_oracle(pts, k, seed=3, restarts=4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        runs=st.integers(1, 4),
+        n=st.integers(1, 60),
+        d=st.integers(1, 9),
+        k=st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batched_means_match_masked_means(self, seed, runs, n, d, k):
+        """Batched cluster means are bit-identical to pts[mask].mean(axis=0), whose
+        summation order differs between one column and several."""
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, d))
+        assign = rng.integers(0, k, (runs, n))
+        got = _cluster_means(pts, assign, k)
+        for r in range(runs):
+            for c in range(k):
+                mask = assign[r] == c
+                if mask.any():
+                    assert np.array_equal(got[r, c], pts[mask].mean(axis=0))
+                else:
+                    assert np.isnan(got[r, c]).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 9),
+        layout=st.sampled_from(["gaussian", "grid", "two_sites", "scaled"]),
+        k_share=st.floats(0.0, 1.0),
+        restarts=st.integers(1, 6),
+        max_iters=st.sampled_from([1, 2, 3, 300]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_oracle(self, seed, n, d, layout, k_share, restarts, max_iters):
+        """The batched restarts give the labels of running them one at a time,
+        including duplicate points and clusters emptied and re-seeded."""
+        rng = np.random.default_rng(seed)
+        if layout == "gaussian":
+            pts = rng.standard_normal((n, d))
+        elif layout == "grid":  # few distinct coordinates, so many duplicate points
+            pts = rng.integers(0, 3, (n, d)).astype(float)
+        elif layout == "two_sites":  # fewer distinct points than clusters once k > 2
+            pts = np.zeros((n, d))
+            pts[: n // 3] = 1.0
+        else:
+            pts = rng.standard_normal((n, d)) * np.resize([1e3, 1e-3, 1.0], d)
+        k = 1 + int(k_share * (n - 1))
+        want = kmeans_oracle(pts, k, seed, restarts=restarts, max_iters=max_iters)
+        got = kmeans(pts, k, seed, restarts=restarts, max_iters=max_iters)
+        assert np.array_equal(got, want)
 
 
 class TestAlignLabels:

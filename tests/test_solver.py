@@ -1,16 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tvclust.solver
+from oracle_utils import pds_iterate_oracle
 from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
 from tvclust.graphs import (
+    MaxEigenvalue,
     TVGraphSequence,
     WeightedGraph,
     build_laplacian,
+    max_eigenvalue,
     quadratic_form,
     smallest_eigenvectors,
     temporal_diff,
 )
-from tvclust.clustering import tv_cluster_two
+from tvclust.clustering import tv_cluster_multi_detailed, tv_cluster_two
 from tvclust.solver import (
     OrthogonalityBasis,
     SolverConfig,
@@ -89,6 +98,128 @@ class TestSolveResult:
             assert v.shape == (2, g.n)
             with pytest.raises(ValueError):
                 v[0, 0] = 9.0
+
+
+    def test_records_beta_used(self):
+        g, _ = two_block_graph(seed=19, n=10)
+        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        assert res.beta == max_eigenvalue([build_laplacian(g)] * 2).value
+        assert res.beta_converged is True
+
+    def test_records_unconverged_beta(self, monkeypatch):
+        g, _ = two_block_graph(seed=19, n=10)
+        beta = max_eigenvalue([build_laplacian(g)]).value
+        unconverged = MaxEigenvalue(beta, False)
+        monkeypatch.setattr(tvclust.solver, "max_eigenvalue", lambda Ls: unconverged)
+        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        assert res.beta == beta
+        assert res.beta_converged is False
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestBitIdentity:
+    """Iteration counts, objectives and SHA-256 digests of three small solves.
+
+    A change meant only to make the solver faster must leave every value here
+    bit for bit as it is. The digests cover float64 arithmetic with numpy 2.4,
+    scipy 1.17 and OpenBLAS 0.3 on x86-64; recapture them only when the
+    arithmetic is meant to change, or on another toolchain.
+    """
+
+    def assert_pinned(self, res, iters, converged, objective, c_sha, trace_sha):
+        assert (res.iters, res.converged) == (iters, converged)
+        assert res.objective == objective
+        assert _sha256(res.c) == c_sha
+        assert _sha256(res.objective_trace) == trace_sha
+
+    def test_capped_unsettled_solve(self):
+        seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
+        _, res = tv_cluster_two(seq, SolverConfig(alpha=2.0, seed=4, max_iters=200))
+        self.assert_pinned(
+            res, 200, False, 523.7039364519356,
+            "f46b4482bb7558102e96b95cb96058661551b3cb7febd83a2c679c9082c86b18",
+            "7445724cf8c7a08aa8fd6669026ee5a374f21e92143aabb98a1b839802d0f502",
+        )
+
+    def test_settled_solve(self):
+        g = sbm_static(np.repeat([0, 1], 10), 0.9, 0.05, np.random.default_rng(3))
+        init = np.random.default_rng(9).standard_normal((2, 20))
+        init -= init.mean(axis=1, keepdims=True)
+        init *= np.sqrt(20) / np.linalg.norm(init, axis=1, keepdims=True)
+        basis = OrthogonalityBasis.all_ones(2, 20)
+        res = pds_solve([build_laplacian(g)] * 2, basis, SolverConfig(alpha=0.5, seed=3), init)
+        self.assert_pinned(
+            res, 655, True, 26.625657766031072,
+            "29958c896480e283b68127d205cac7c442517d10731c9575cba09c7ec660e6d4",
+            "4f1770c36d7fbb409facfb4442e1d5d80b0a2b353e3b75504a2e0d768bc1bb12",
+        )
+
+    def test_two_direction_basis(self):
+        # the second deflation level keeps the all-ones and the first cluster vector
+        seq, _ = sbm_tv_sequence(SbmTvParams(8, 3, 5, 0.7, 0.1, 0.05, seed=6))
+        cfg = SolverConfig(alpha=1.0, seed=6, max_iters=300)
+        _, _, results = tv_cluster_multi_detailed(seq, 3, cfg)
+        self.assert_pinned(
+            results[1], 300, False, 148.62481900651704,
+            "e4dd543b1826956ae6eb8420765e98473a25162950978c3fd4b57d9d7b3be3cd",
+            "c1b10badb3874909ca1b062861ff3636f08987eadd3ab1bce4189a3b61e314bf",
+        )
+
+
+def _outcome(fn, *args):
+    """fn's results, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, SolverError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIterateMatchesOperatorComposition:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t_len=st.integers(1, 4),
+        n=st.integers(4, 16),
+        extra_direction=st.booleans(),
+        alpha=st.sampled_from([0.0, 0.5, 3.0]),
+        eps_scale=st.sampled_from([0.0, 1e-6, 0.3, 50.0]),
+        zero_row=st.booleans(),
+        max_iters=st.sampled_from([1, 2, 40, 600]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical(
+        self, seed, t_len, n, extra_direction, alpha, eps_scale, zero_row, max_iters
+    ):
+        """The buffered loop returns exactly what composing the operators returns,
+        including zero-row starts, frames inside their slabs and settled runs."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n)
+        Ls = [build_laplacian(sbm_static(labels, 0.8, 0.2, rng)) for _ in range(t_len)]
+        basis = OrthogonalityBasis.all_ones(t_len, n)
+        if extra_direction:
+            u = rng.standard_normal((t_len, n))
+            basis = basis.extended(u / np.linalg.norm(u, axis=1, keepdims=True))
+        C0 = rng.standard_normal((t_len, n))
+        if zero_row:
+            C0[0] = 0.0
+        g1, g2 = default_step_sizes(max_eigenvalue(Ls).value, alpha)
+        eps = eps_scale * np.sqrt(n)
+        Lblock = scipy.sparse.block_diag(Ls, format="csr")
+        V = basis.vectors
+        Vsq = np.einsum("tln,tln->tl", V, V)
+        slabs = [
+            (np.ascontiguousarray(V[:, l]), np.ascontiguousarray(Vsq[:, l]))
+            for l in range(basis.n_dirs)
+        ]
+        args = (eps, alpha, g1, g2, 1e-5, max_iters, C0)
+        iterate = tvclust.solver._iterate
+        got = _outcome(iterate, Lblock, V, slabs, *args, np.random.default_rng(seed))
+        want = _outcome(pds_iterate_oracle, Lblock, V, *args, np.random.default_rng(seed))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestPdsSolve:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
 from .solver import OrthogonalityBasis, SolveResult, SolverConfig, pds_solve
@@ -252,6 +250,8 @@ def align_labels(prev, cur, k: int) -> np.ndarray:
         raise ValueError("prev and cur must be 1-D label arrays of equal length")
     if prev.min() < 0 or prev.max() >= k or cur.min() < 0 or cur.max() >= k:
         raise ValueError("labels must lie in [0, k)")
+    import scipy.optimize
+
     overlap = np.zeros((k, k), dtype=np.int64)
     np.add.at(overlap, (cur, prev), 1)
     rows, cols = scipy.optimize.linear_sum_assignment(overlap, maximize=True)
@@ -269,17 +269,20 @@ def align_sequence(ls: LabelSequence) -> LabelSequence:
 
 
 def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
-    """Per-frame spectral clustering: k smallest eigenvectors, then seeded k-means."""
+    """Per-frame spectral clustering: k smallest eigenvectors, then seeded k-means.
+
+    Every frame's eigensolve runs before any k-means: a LAPACK call wakes the
+    BLAS worker threads, which then spin through whatever single-threaded work
+    follows it, so interleaving the two about doubles the CPU time.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > seq.n:
         raise ValueError("k must not exceed the node count")
     frame_seeds = np.random.SeedSequence(entropy=seed, spawn_key=_STATIC_TAG).spawn(seq.t_len)
-    labels = np.empty((seq.t_len, seq.n), dtype=np.int64)
-    for t, g in enumerate(seq.graphs):
-        _, vecs = smallest_eigenvectors(build_laplacian(g), k)
-        labels[t] = kmeans(vecs, k, frame_seeds[t])
-    return LabelSequence(labels, k)
+    embeddings = [smallest_eigenvectors(build_laplacian(g), k)[1] for g in seq.graphs]
+    labels = [kmeans(vecs, k, s) for vecs, s in zip(embeddings, frame_seeds)]
+    return LabelSequence(np.array(labels), k)
 
 
 def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
@@ -291,6 +294,8 @@ def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
     inside frame-noise basins it cannot leave. For a single frame the average is
     that frame's Laplacian, so this reduces to its own spectral start.
     """
+    import scipy.linalg
+
     t_len = len(Ls)
     n = Ls[0].shape[0]
     m = min(basis.n_dirs + 1, n)

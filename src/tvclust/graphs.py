@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+
+# scipy is imported by the functions that call it, so importing tvclust stays cheap
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class WeightedGraph:
@@ -67,6 +69,8 @@ class WeightedGraph:
         return d
 
     def adjacency(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse
+
         rows = np.concatenate([self._i, self._j])
         cols = np.concatenate([self._j, self._i])
         vals = np.concatenate([self._w, self._w])
@@ -124,6 +128,8 @@ class MaxEigenvalue(NamedTuple):
 
 def build_laplacian(g: WeightedGraph) -> scipy.sparse.csr_matrix:
     """Combinatorial Laplacian in CSR: degrees on the diagonal, -w off it; rows sum to zero."""
+    import scipy.sparse
+
     i, j, w = g.edge_arrays()
     diag = np.arange(g.n)
     rows = np.concatenate([i, j, diag])
@@ -183,6 +189,8 @@ def max_eigenvalue(
 
 def smallest_eigenvectors(L: scipy.sparse.csr_matrix, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m smallest eigenpairs, ascending; eigenvectors orthonormal, as columns."""
+    import scipy.linalg
+
     n = L.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")

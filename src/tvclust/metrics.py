@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+# scipy is imported by the functions that call it, so importing tvclust stays cheap
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .clustering import LabelSequence
 from .graphs import WeightedGraph, smallest_eigenvectors

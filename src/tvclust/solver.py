@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse
+
+# scipy is imported by the functions that call it, so importing tvclust stays cheap
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .graphs import max_eigenvalue, temporal_diff
 from .prox import prox_sphere_frames
@@ -343,6 +346,8 @@ def pds_solve(
     constraints instead of the final one. `init` is the (t_len, n) start of the
     first restart.
     """
+    import scipy.sparse
+
     t_len = len(Ls)
     if t_len == 0:
         raise ValueError("need at least one Laplacian")

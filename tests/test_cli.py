@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from click.testing import CliRunner
 
 from tvclust import fileio
 from tvclust.cli import main
-from tvclust.clustering import LabelSequence, tv_cluster_two
+from tvclust.clustering import LabelSequence, tv_cluster_multi_detailed, tv_cluster_two
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
 from tvclust.graphs import (
     TVGraphSequence,
@@ -33,6 +37,29 @@ def test_version_from_source_tree(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0, res.output
     assert "0.1.0" in res.output
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import tvclust", "import runpy; runpy.run_module('tvclust.cli', run_name='__main__')"],
+    ids=["import", "cli-help"],
+)
+def test_import_and_help_leave_scipy_unloaded(code):
+    probe = (
+        "import sys\n"
+        "sys.argv = ['tvclust', '--help']\n"
+        "try:\n"
+        f"    {code}\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "loaded = {'scipy.sparse', 'scipy.linalg', 'scipy.optimize'} & sys.modules.keys()\n"
+        "print('LOADED', sorted(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.splitlines()[-1] == "LOADED []"
 
 
 class TestFileFormats:
@@ -130,7 +157,9 @@ class TestCluster:
         labels = fileio.read_labels(out / "est_g.lbl")
         assert labels.t_len == seq.t_len and labels.n == seq.n and labels.k == 2
         report = json.loads((out / "report_g.json").read_text())
-        assert {"iterations", "converged", "final_objective", "wall_time_s"} <= report.keys()
+        assert {
+            "iterations", "converged", "final_objective", "beta", "beta_converged", "wall_time_s"
+        } <= report.keys()
 
     def test_final_objective_describes_returned_iterate(self, runner, tmp_path):
         # a capped solve: the last iterate visited is not the one returned
@@ -152,6 +181,24 @@ class TestCluster:
         want = 0.5 * quad + cfg.alpha * float(np.abs(temporal_diff(C)).sum())
         assert report["converged"] is False
         assert report["final_objective"] == [pytest.approx(want, rel=1e-12)]
+        assert report["beta"] == [solve.beta]
+        assert report["beta_converged"] == [solve.beta_converged]
+
+    def test_report_lists_beta_per_level(self, runner, tmp_path):
+        seq, _ = sbm_tv_sequence(SbmTvParams(5, 3, 4, 0.8, 0.1, 0.05, seed=6))
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--k", "3", "--max-iters", "50", "--seed", "2", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "report_g.json").read_text())
+        cfg = SolverConfig(max_iters=50, seed=report["seed"])
+        _, _, results = tv_cluster_multi_detailed(seq, 3, cfg)
+        assert report["beta"] == [r.beta for r in results]
+        assert report["beta_converged"] == [r.beta_converged for r in results]
+        assert len(report["beta"]) == len(report["iterations"]) == 2
 
     def test_static_sc_report_has_no_solver_fields(self, runner, tmp_path):
         seq, _ = small_sequence(seed=2)
@@ -163,7 +210,7 @@ class TestCluster:
         ])
         assert res.exit_code == 0, res.output
         report = json.loads((out / "report_g.json").read_text())
-        assert "iterations" not in report and "final_objective" not in report
+        assert not {"iterations", "final_objective", "beta", "beta_converged"} & report.keys()
         assert "wall_time_s" in report
 
     def test_config_file_with_flag_override(self, runner, tmp_path):

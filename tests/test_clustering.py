@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import kmeans_oracle
 from tvclust.clustering import (
+    _STATIC_TAG,
     LabelSequence,
     _cluster_means,
     align_labels,
@@ -17,7 +18,7 @@ from tvclust.clustering import (
     tv_cluster_two,
 )
 from tvclust.generators import sbm_static, sbm_tv_sequence, SbmTvParams
-from tvclust.graphs import TVGraphSequence, WeightedGraph
+from tvclust.graphs import TVGraphSequence, WeightedGraph, build_laplacian, smallest_eigenvectors
 from tvclust.metrics import pair_accuracy
 from tvclust.solver import SolverConfig
 
@@ -196,6 +197,16 @@ class TestStaticSc:
         est = static_sc(TVGraphSequence((g, g, g)), 3, seed=11)
         for t in range(1, 3):
             assert pair_accuracy(est.frame(t), est.frame(0)) == 1.0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equals_frame_by_frame_composition(self, k):
+        seq, _ = sbm_tv_sequence(SbmTvParams(5, k, 4, 0.7, 0.2, 0.1, seed=20 + k))
+        seeds = np.random.SeedSequence(17, spawn_key=_STATIC_TAG).spawn(seq.t_len)
+        want = [
+            kmeans(smallest_eigenvectors(build_laplacian(g), k)[1], k, s)
+            for g, s in zip(seq.graphs, seeds)
+        ]
+        assert np.array_equal(static_sc(seq, k, seed=17).labels, np.array(want))
 
 
 class TestTvClusterTwo:

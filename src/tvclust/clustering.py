@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,14 @@ def _kmeans_pp(pts: np.ndarray, k: int, rngs) -> np.ndarray:
     d2 = ((pts - centers[:, 0, None, :]) ** 2).sum(axis=2)
     for c in range(1, k):
         totals = d2.sum(axis=1)
+        # the inverse-CDF draw Generator.choice(n, p=p[r]) makes, for all runs at once
         with np.errstate(invalid="ignore"):
-            p = d2 / totals[:, None]
+            cdf = np.cumsum(d2 / totals[:, None], axis=1)
+            cdf /= cdf[:, -1:]
         idx = [
-            int(rng.choice(n, p=p[r])) if totals[r] > 0.0 else int(rng.integers(n))
+            int(cdf[r].searchsorted(rng.random(), side="right"))
+            if totals[r] > 0.0
+            else int(rng.integers(n))
             for r, rng in enumerate(rngs)
         ]
         centers[:, c] = pts[idx]
@@ -149,10 +154,11 @@ def _cluster_means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
         grouped = np.tile(pts[:, 0], runs)[np.argsort(bins, kind="stable")]
         sums = _block_sums(grouped, counts)[:, None]
     else:
-        tiled = np.tile(pts, (runs, 1))
-        sums = np.stack(
-            [np.bincount(bins, weights=tiled[:, j], minlength=runs * k) for j in range(d)], axis=1
-        )
+        # one bincount over (cluster, column) bins adds each column in row order
+        flat = (bins[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(
+            flat, weights=np.tile(pts, (runs, 1)).ravel(), minlength=runs * k * d
+        ).reshape(runs * k, d)
     with np.errstate(invalid="ignore"):
         return (sums / counts[:, None]).reshape(runs, k, d)
 
@@ -224,8 +230,21 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(child) for child in root.spawn(restarts)]
+    # the children root.spawn(restarts) gives a fresh root, without advancing root;
+    # Generator(PCG64(.)) is what default_rng builds, minus its argument dispatch
+    rngs = [
+        np.random.Generator(
+            np.random.PCG64(
+                np.random.SeedSequence(
+                    root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+                )
+            )
+        )
+        for i in range(restarts)
+    ]
     centers = _kmeans_pp(pts, k, rngs)
     assigns = _lloyd(pts, centers, max_iters)
     # identical assignments score identically, so only the first of each is scored
@@ -242,6 +261,69 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     return best_assign
 
 
+def _max_assignment(table: np.ndarray) -> list[int]:
+    """Column assigned to each row of a square table so that the sum is largest.
+
+    Shortest augmenting paths on the negated table (Crouse 2016, "On implementing
+    2D rectangular assignment algorithms"), breaking ties as scipy's
+    linear_sum_assignment(table, maximize=True) does, so that both return the
+    same assignment.
+    """
+    k = table.shape[0]
+    cost = [[-float(x) for x in row] for row in table.tolist()]
+    u = [0.0] * k
+    v = [0.0] * k
+    path = [-1] * k
+    col4row = [-1] * k
+    row4col = [-1] * k
+    for cur_row in range(k):
+        shortest = [math.inf] * k
+        seen_rows = [False] * k
+        seen_cols = [False] * k
+        # reverse order makes a constant table give the identity
+        remaining = list(range(k - 1, -1, -1))
+        i = cur_row
+        min_val = 0.0
+        sink = -1
+        while sink == -1:
+            seen_rows[i] = True
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # among equal costs take a free column, which ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in range(k):
+            if seen_rows[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(k):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def align_labels(prev, cur, k: int) -> np.ndarray:
     """Rename cur's labels to maximize agreement with prev; partition is unchanged."""
     prev = np.asarray(prev)
@@ -250,13 +332,8 @@ def align_labels(prev, cur, k: int) -> np.ndarray:
         raise ValueError("prev and cur must be 1-D label arrays of equal length")
     if prev.min() < 0 or prev.max() >= k or cur.min() < 0 or cur.max() >= k:
         raise ValueError("labels must lie in [0, k)")
-    import scipy.optimize
-
-    overlap = np.zeros((k, k), dtype=np.int64)
-    np.add.at(overlap, (cur, prev), 1)
-    rows, cols = scipy.optimize.linear_sum_assignment(overlap, maximize=True)
-    perm = np.empty(k, dtype=np.int64)
-    perm[rows] = cols
+    overlap = np.bincount(cur * k + prev, minlength=k * k).reshape(k, k)
+    perm = np.array(_max_assignment(overlap), dtype=np.int64)
     return perm[cur]
 
 

@@ -7,6 +7,7 @@ UTF-8, LF line endings; floats are written with round-tripping repr.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from .graphs import TVGraphSequence, WeightedGraph
 TVG_MAGIC = "tvg"
 LBL_MAGIC = "lbl"
 FORMAT_VERSION = 1
+
+_EDGE_DTYPE = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 def _write_text(path, lines) -> None:
@@ -38,26 +41,32 @@ def write_tvg(path, seq: TVGraphSequence) -> None:
 
 def read_tvg(path) -> TVGraphSequence:
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    head_line, _, body = text.lstrip().partition("\n")
+    if not head_line:
         raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
+    head = head_line.split()
     if len(head) != 4 or head[0] != TVG_MAGIC:
-        raise ValueError(f"{path}: bad graph header {lines[0]!r}")
+        raise ValueError(f"{path}: bad graph header {head_line!r}")
     version, n, t_len = (int(x) for x in head[1:])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported graph format version {version}")
-    buckets: list[list[tuple[int, int, float]]] = [[] for _ in range(t_len)]
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}: bad edge line {ln!r}")
-        t, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-        w = float(parts[3])
-        if not 0 <= t < t_len:
-            raise ValueError(f"{path}: frame index {t} out of range")
-        buckets[t].append((i, j, w))
-    return TVGraphSequence(tuple(WeightedGraph(n, b) for b in buckets))
+    if body and not body.isspace():
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad edge line: {exc}") from exc
+    else:
+        rows = np.empty(0, dtype=_EDGE_DTYPE)
+    out_of_range = (rows["t"] < 0) | (rows["t"] >= t_len)
+    if out_of_range.any():
+        raise ValueError(f"{path}: frame index {rows['t'][out_of_range][0]} out of range")
+    # a stable sort keeps each frame's edges in file order
+    rows = rows[np.argsort(rows["t"], kind="stable")]
+    bounds = np.searchsorted(rows["t"], np.arange(t_len + 1)).tolist()
+    edges = np.column_stack((rows["i"], rows["j"], rows["w"]))
+    return TVGraphSequence(
+        tuple(WeightedGraph(n, edges[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+    )
 
 
 def write_labels(path, ls: LabelSequence) -> None:

@@ -358,6 +358,8 @@ def pds_solve(
         raise ValueError("basis shape does not match the Laplacian sequence")
     if np.shape(init) != (t_len, n):
         raise ValueError("init shape does not match the Laplacian sequence")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
 
     beta, beta_converged = max_eigenvalue(Ls)
     g1_default, g2_default = default_step_sizes(beta, cfg.alpha)

@@ -57,6 +57,23 @@ def pair_accuracy_oracle(est, truth):
     return (count - n) / (n * (n - 1))
 
 
+def align_labels_oracle(prev, cur, k):
+    """align_labels by scipy's assignment solver on an np.add.at overlap table."""
+    overlap = np.zeros((k, k), dtype=np.int64)
+    np.add.at(overlap, (cur, prev), 1)
+    rows, cols = scipy.optimize.linear_sum_assignment(overlap, maximize=True)
+    perm = np.empty(k, dtype=np.int64)
+    perm[rows] = cols
+    return perm[cur]
+
+
+def max_assignment_oracle(table):
+    """Column of each row in scipy's maximum-weight assignment of a square table."""
+    rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
+    assert rows.tolist() == list(range(len(rows)))
+    return cols.tolist()
+
+
 def _kmeans_pp_oracle(pts, k, rng):
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))

@@ -62,6 +62,40 @@ def test_import_and_help_leave_scipy_unloaded(code):
     assert res.stdout.splitlines()[-1] == "LOADED []"
 
 
+@pytest.mark.parametrize(
+    "args, forbidden",
+    [
+        (["evaluate", "--est", "runs", "--truth", "data", "--out", "eval", "--svg"], "scipy"),
+        (["cluster", "--graph", "data", "--method", "static-sc", "--k", "2", "--out", "runs"],
+         "scipy.optimize"),
+    ],
+    ids=["evaluate", "cluster-static-sc"],
+)
+def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
+    seq, truth = small_sequence()
+    (tmp_path / "data").mkdir()
+    fileio.write_tvg(tmp_path / "data" / "graph_000.tvg", seq)
+    fileio.write_labels(tmp_path / "data" / "truth_000.lbl", truth)
+    (tmp_path / "runs").mkdir()
+    fileio.write_labels(tmp_path / "runs" / "labels_000.lbl", truth)
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['tvclust', *{args!r}]\n"
+        "try:\n"
+        "    runpy.run_module('tvclust.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        f"loaded = [m for m in sys.modules if m == {forbidden!r} or m.startswith({forbidden!r} + '.')]\n"
+        "print('LOADED', sorted(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "LOADED []"
+
+
 class TestFileFormats:
     def test_tvg_round_trip(self, tmp_path):
         seq, _ = small_sequence()
@@ -76,6 +110,52 @@ class TestFileFormats:
         seq = TVGraphSequence((g,))
         fileio.write_tvg(tmp_path / "g.tvg", seq)
         assert fileio.read_tvg(tmp_path / "g.tvg") == seq
+
+    def test_tvg_reader_accepts_any_frame_order(self, tmp_path):
+        # frames out of order, blank lines and a frame (1 of 4) with no edges
+        path = tmp_path / "g.tvg"
+        path.write_text(
+            "\ntvg 1 4 4\n2 0 1 0.5\n\n0 2 3 1.0\n  \n3 1 2 0.25\n0 0 1 2.0\n2 2 3 1.5\n\n",
+            encoding="utf-8",
+        )
+        want = TVGraphSequence((
+            WeightedGraph(4, [(2, 3, 1.0), (0, 1, 2.0)]),
+            WeightedGraph(4),
+            WeightedGraph(4, [(0, 1, 0.5), (2, 3, 1.5)]),
+            WeightedGraph(4, [(1, 2, 0.25)]),
+        ))
+        assert fileio.read_tvg(path) == want
+        fileio.write_tvg(tmp_path / "again.tvg", want)
+        assert fileio.read_tvg(tmp_path / "again.tvg") == want
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_tvg_without_edges(self, tmp_path, body):
+        path = tmp_path / "g.tvg"
+        path.write_text("tvg 1 3 2\n" + body, encoding="utf-8")
+        assert fileio.read_tvg(path) == TVGraphSequence((WeightedGraph(3), WeightedGraph(3)))
+
+    def test_tvg_trailing_empty_frames_round_trip(self, tmp_path):
+        seq = TVGraphSequence((WeightedGraph(3, [(0, 2, 1.0)]), WeightedGraph(3), WeightedGraph(3)))
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        assert fileio.read_tvg(tmp_path / "g.tvg") == seq
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 1 2", "bad edge line"),
+            ("0 1 2 0.5 7", "bad edge line"),
+            ("2 0 1 0.5", "frame index 2 out of range"),
+            ("-1 0 1 0.5", "frame index -1 out of range"),
+            ("0.5 0 1 0.5", "bad edge line"),
+            ("0 x 1 0.5", "bad edge line"),
+        ],
+    )
+    def test_tvg_bad_edge_lines_name_the_file(self, tmp_path, line, message):
+        path = tmp_path / "broken.tvg"
+        path.write_text(f"tvg 1 3 2\n0 0 1 1.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            fileio.read_tvg(path)
+        assert str(path) in str(info.value)
 
     def test_labels_round_trip(self, tmp_path):
         _, labels = small_sequence()

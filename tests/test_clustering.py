@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import kmeans_oracle
+from oracle_utils import align_labels_oracle, kmeans_oracle, max_assignment_oracle
 from tvclust.clustering import (
     _STATIC_TAG,
     LabelSequence,
     _cluster_means,
+    _max_assignment,
     align_labels,
     align_sequence,
     kmeans,
@@ -79,12 +80,28 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=6)
         assert np.array_equal(a, b)
 
+    def test_same_seed_sequence_object_repeats(self):
+        pts = np.random.default_rng(7).standard_normal((30, 2))
+        ss = np.random.SeedSequence(8)
+        first = kmeans(pts, 4, ss, restarts=3)
+        assert np.array_equal(kmeans(pts, 4, ss, restarts=3), first)
+        # and it draws what a fresh root's spawned children draw
+        want = kmeans_oracle(pts, 4, np.random.SeedSequence(8), restarts=3)
+        assert np.array_equal(first, want)
+
     def test_rejects_no_restarts_or_iterations(self):
         pts = np.arange(6.0)[:, None]
         with pytest.raises(ValueError, match="restarts"):
             kmeans(pts, 2, seed=0, restarts=0)
         with pytest.raises(ValueError, match="max_iters"):
             kmeans(pts, 2, seed=0, max_iters=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_points(self, bad):
+        pts = np.arange(12.0).reshape(6, 2)
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(pts, 2, seed=0)
 
     def test_reseeds_like_oracle_on_identical_points(self):
         # every point ties for the first center, so Lloyd's first pass empties
@@ -174,6 +191,38 @@ class TestAlignLabels:
         cur = rng.integers(0, k, n)
         out = align_labels(prev, cur, k)
         assert pair_accuracy(out, cur) == 1.0
+
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 8),
+        layout=st.sampled_from(["random", "constant", "permutation"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_matches_scipy_on_ties(self, data, k, layout):
+        """Small entries make most tables tie; the solver must break ties as scipy does."""
+        if layout == "random":
+            table = np.array(
+                data.draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k))
+            ).reshape(k, k)
+        elif layout == "constant":
+            table = np.full((k, k), data.draw(st.integers(0, 3)))
+        else:
+            perm = data.draw(st.permutations(range(k)))
+            table = 3 * np.eye(k, dtype=np.int64)[list(perm)]
+        assert _max_assignment(table) == max_assignment_oracle(table)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        k=st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_oracle(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        prev = rng.integers(0, k, n)
+        cur = rng.integers(0, k, n)
+        assert np.array_equal(align_labels(prev, cur, k), align_labels_oracle(prev, cur, k))
 
 
 class TestStaticSc:

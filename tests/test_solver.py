@@ -326,12 +326,23 @@ class TestPdsSolve:
             pds_solve(Ls, basis, SolverConfig(), init)
 
     def test_non_finite_detection_reports_iteration(self):
+        # a finite start whose first step overflows
         g, _ = two_block_graph(seed=16, n=10)
         Ls = [build_laplacian(gr) for gr in (g, g)]
         basis = OrthogonalityBasis.all_ones(2, g.n)
         init = np.ones((2, g.n))
-        init[1, 0] = np.inf
-        with pytest.raises(SolverError, match="iteration 1"):
+        init[1, 0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="iteration 1"):
+            pds_solve(Ls, basis, SolverConfig(seed=0), init)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_init(self, bad):
+        g, _ = two_block_graph(seed=16, n=10)
+        Ls = [build_laplacian(gr) for gr in (g, g)]
+        basis = OrthogonalityBasis.all_ones(2, g.n)
+        init = np.ones((2, g.n))
+        init[1, 3] = bad
+        with pytest.raises(ValueError, match="init must be finite"):
             pds_solve(Ls, basis, SolverConfig(seed=0), init)
 
     def test_restarts_return_best_objective(self):

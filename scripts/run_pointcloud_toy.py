@@ -38,7 +38,7 @@ def main():
 
     seq = cloud_to_graphs(cloud, args.k)
     cfg = SolverConfig(alpha=args.alpha, seed=args.seed)
-    est_tv, _ = tv_cluster_multi(seq, truth.k, cfg)
+    est_tv, _, _ = tv_cluster_multi(seq, truth.k, cfg)
     est_st = static_sc(seq, truth.k, seed=args.seed)
     for name, est in (("tv-pds", est_tv), ("static-sc", est_st)):
         rep = accuracy_report(est, truth)

@@ -13,7 +13,6 @@ from .clustering import (
     kmeans,
     static_sc,
     tv_cluster_multi,
-    tv_cluster_two,
 )
 from .generators import SbmTvParams, sbm_static, sbm_tv_sequence
 from .graphs import (
@@ -37,7 +36,6 @@ from .metrics import (
 from .pointcloud import PointFrameSequence, downsample, knn_graph, load_frames
 from .prox import prox_conjugate, prox_slab, prox_sphere, soft_threshold
 from .solver import (
-    OrthogonalityBasis,
     SolveResult,
     SolverConfig,
     SolverError,
@@ -51,7 +49,6 @@ __all__ = [
     "AccuracyReport",
     "EmbeddingSequence",
     "LabelSequence",
-    "OrthogonalityBasis",
     "PointFrameSequence",
     "SbmTvParams",
     "SolveResult",
@@ -86,5 +83,4 @@ __all__ = [
     "temporal_diff",
     "temporal_diff_adjoint",
     "tv_cluster_multi",
-    "tv_cluster_two",
 ]

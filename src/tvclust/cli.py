@@ -17,12 +17,12 @@ import click
 import numpy as np
 
 from . import __version__, fileio
-from .clustering import static_sc, tv_cluster_multi_detailed, tv_cluster_two
-from .experiments import DENSE_FULL, total_mismatch, trial_seeds
+from .clustering import static_sc, tv_cluster_multi
+from .experiments import DENSE_FULL, cloud_to_graphs, total_mismatch, trial_seeds
 from .generators import SbmTvParams, sbm_tv_sequence
-from .graphs import TVGraphSequence, build_laplacian
+from .graphs import build_laplacian
 from .metrics import eigengap_profile, pair_accuracy
-from .pointcloud import downsample, knn_graph, load_frames
+from .pointcloud import downsample, load_frames
 from .solver import SolverConfig, SolverError
 
 _SBM_DEFAULTS = dataclasses.asdict(DENSE_FULL)
@@ -58,12 +58,22 @@ def _load_config(path) -> dict:
 
 
 def _pick(flag, config: dict, key: str, default):
-    """Explicit CLI flag first, then config file, then the built-in default."""
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    """Explicit CLI flag first, then config file, then the built-in default.
+
+    Returns an int where the default is an int and a float otherwise; None passes
+    only where the default is None. Any other value, or a fractional one for an
+    int, raises a ValueError naming the key.
+    """
+    value = flag if flag is not None else config.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _outdir(path) -> Path:
@@ -73,13 +83,11 @@ def _outdir(path) -> Path:
 
 
 def _solver_config(config: dict, seed: int, **flags) -> SolverConfig:
-    kwargs = {}
-    for key, default in _SOLVER_DEFAULTS.items():
-        if key == "seed":
-            continue
-        kwargs[key] = _pick(flags.get(key), config, key, default)
-    kwargs["max_iters"] = int(kwargs["max_iters"])
-    kwargs["restarts"] = int(kwargs["restarts"])
+    kwargs = {
+        key: _pick(flags.get(key), config, key, default)
+        for key, default in _SOLVER_DEFAULTS.items()
+        if key != "seed"
+    }
     return SolverConfig(seed=seed, **kwargs)
 
 
@@ -105,21 +113,13 @@ def cmd_generate_sbm(out_path, config_path, trials, **flags):
     """Write seeded block-model graph sequences plus their ground-truth labels."""
     config = _load_config(config_path)
     params = {k: _pick(flags.get(k), config, k, v) for k, v in _SBM_DEFAULTS.items()}
-    trials = int(_pick(trials, config, "trials", 1))
+    trials = _pick(trials, config, "trials", 1)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     out = _outdir(out_path)
-    seeds = trial_seeds(int(params["seed"]), trials)
+    seeds = trial_seeds(params["seed"], trials)
     for idx in range(trials):
-        p = SbmTvParams(
-            n_per_cluster=int(params["n_per_cluster"]),
-            k=int(params["k"]),
-            t_len=int(params["t_len"]),
-            p_intra=float(params["p_intra"]),
-            p_inter=float(params["p_inter"]),
-            flip_prob=float(params["flip_prob"]),
-            seed=seeds[idx],
-        )
+        p = SbmTvParams(**{**params, "seed": seeds[idx]})
         seq, truth = sbm_tv_sequence(p)
         fileio.write_tvg(out / f"graph_{idx:03d}.tvg", seq)
         fileio.write_labels(out / f"truth_{idx:03d}.lbl", truth)
@@ -155,10 +155,10 @@ def _graph_inputs(path) -> list[Path]:
 def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
     """Estimate cluster labels for one or many graph sequence files."""
     config = _load_config(config_path)
-    k = int(_pick(k, config, "k", 2))
+    k = _pick(k, config, "k", 2)
     if k < 2:
         raise ValueError("k must be >= 2")
-    seed = int(_pick(seed, config, "seed", 0))
+    seed = _pick(seed, config, "seed", 0)
     inputs = _graph_inputs(graph_path)
     out = _outdir(out_path)
     seeds = trial_seeds(seed, len(inputs))
@@ -170,11 +170,7 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
             labels = static_sc(seq, k, seed=seeds[idx])
         else:
             cfg = _solver_config(config, seeds[idx], **flags)
-            if k == 2:
-                labels, res = tv_cluster_two(seq, cfg)
-                results = [res]
-            else:
-                labels, _, results = tv_cluster_multi_detailed(seq, k, cfg)
+            labels, _, results = tv_cluster_multi(seq, k, cfg)
             report.update(
                 iterations=[r.iters for r in results],
                 converged=all(r.converged for r in results),
@@ -284,7 +280,7 @@ def cmd_build_knn(cloud_path, k, target_n, seed, out_path):
         seq = downsample(seq, target_n, seed)
     if k >= seq.n_points:
         raise ValueError(f"k={k} must be smaller than the point count {seq.n_points}")
-    graphs = TVGraphSequence(tuple(knn_graph(seq.frame(t), k) for t in range(seq.t_len)))
+    graphs = cloud_to_graphs(seq, k)
     out = _outdir(out_path)
     fileio.write_tvg(out / "graph.tvg", graphs)
     edges = sum(g.num_edges for g in graphs.graphs)

@@ -1,4 +1,4 @@
-"""Clustering pipelines: per-frame baseline, coupled two-way, sequential multi-way."""
+"""Clustering pipelines: the per-frame baseline and the coupled sequential solves."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
-from .solver import OrthogonalityBasis, SolveResult, SolverConfig, pds_solve
+from .solver import SolveResult, SolverConfig, pds_solve
 
 # spawn_key tags keep the warm-start / k-means streams disjoint from the solver's
 # per-restart streams, which are spawned from the bare seed inside pds_solve.
@@ -258,7 +258,8 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         if wcss < best_wcss:
             best_wcss = wcss
             best_assign = assign
-    return best_assign
+    # a copy: a row view would keep every distinct assignment alive with it
+    return best_assign.copy()
 
 
 def _max_assignment(table: np.ndarray) -> list[int]:
@@ -362,9 +363,9 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
     return LabelSequence(np.array(labels), k)
 
 
-def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
-    """Eigenvector of the time-averaged Laplacian, projected off the per-frame basis
-    and scaled to norm sqrt(n) in every frame.
+def _warm_start(Ls, V: np.ndarray, rng) -> np.ndarray:
+    """Eigenvector of the time-averaged Laplacian, projected off each frame's
+    constraint directions V[t] and scaled to norm sqrt(n) in every frame.
 
     Averaging pools the per-frame spectra, which separates slowly drifting cluster
     structure that no single frame resolves; per-frame eigenvectors start the solve
@@ -373,10 +374,8 @@ def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
     """
     import scipy.linalg
 
-    t_len = len(Ls)
-    n = Ls[0].shape[0]
-    m = min(basis.n_dirs + 1, n)
-    V = basis.vectors
+    t_len, n_dirs, n = V.shape
+    m = min(n_dirs + 1, n)
     avg = sum(Ls).toarray() / t_len
     _, vecs = scipy.linalg.eigh(avg, subset_by_index=(0, m - 1))
     x0 = vecs[:, m - 1]
@@ -384,8 +383,7 @@ def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
     for t in range(t_len):
         x = x0.copy()
         for attempt in range(2):
-            for l in range(basis.n_dirs):
-                v = V[t, l]
+            for v in V[t]:
                 x -= (x @ v) / (v @ v) * v
             nrm = float(np.linalg.norm(x))
             if nrm >= 1e-8:
@@ -398,52 +396,37 @@ def _warm_start(Ls, basis: OrthogonalityBasis, rng) -> np.ndarray:
     return C
 
 
-def tv_cluster_two(seq: TVGraphSequence, cfg: SolverConfig) -> tuple[LabelSequence, SolveResult]:
-    """Two-way clustering of the whole sequence; labels read off the sign of c."""
-    Ls = [build_laplacian(g) for g in seq.graphs]
-    basis = OrthogonalityBasis.all_ones(seq.t_len, seq.n)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG))
-    res = pds_solve(Ls, basis, cfg, _warm_start(Ls, basis, rng))
-    labels = (res.c < 0).astype(np.int64)
-    return LabelSequence(labels, 2), res
-
-
-def tv_cluster_multi_detailed(
+def tv_cluster_multi(
     seq: TVGraphSequence, k: int, cfg: SolverConfig
 ) -> tuple[LabelSequence, EmbeddingSequence, list[SolveResult]]:
-    """Like tv_cluster_multi, also returning the per-level solve results."""
+    """K-way clustering by k-1 sequential solves, each constrained orthogonal to the
+    all-ones vector and to the cluster vectors found before it.
+
+    Returns the labels, the (t_len, n, k-1) cluster vectors and each solve's
+    result. For k = 2 the labels are the signs of the one cluster vector; for
+    larger k they come from per-frame k-means on the cluster vectors, aligned
+    frame to frame.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k - 1 > seq.n:
-        raise ValueError("cannot compute more cluster vectors than nodes")
+    if k > seq.n:
+        raise ValueError("k must not exceed the node count")
     Ls = [build_laplacian(g) for g in seq.graphs]
     warm_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG)
     )
-    basis = OrthogonalityBasis.all_ones(seq.t_len, seq.n)
+    V = np.ones((seq.t_len, 1, seq.n))
     results: list[SolveResult] = []
-    cols = []
     for _ in range(k - 1):
-        res = pds_solve(Ls, basis, cfg, _warm_start(Ls, basis, warm_rng))
-        C = res.c
+        res = pds_solve(Ls, V, cfg, _warm_start(Ls, V, warm_rng))
         results.append(res)
-        cols.append(C)
-        unit = C / np.linalg.norm(C, axis=1, keepdims=True)
-        basis = basis.extended(unit)
-    emb = np.stack(cols, axis=2)
-    km_seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=_KMEANS_TAG).spawn(seq.t_len)
-    labels = np.empty((seq.t_len, seq.n), dtype=np.int64)
-    for t in range(seq.t_len):
-        labels[t] = kmeans(emb[t], k, km_seeds[t])
-        if t > 0:
-            labels[t] = align_labels(labels[t - 1], labels[t], k)
-    return LabelSequence(labels, k), EmbeddingSequence(emb), results
-
-
-def tv_cluster_multi(
-    seq: TVGraphSequence, k: int, cfg: SolverConfig
-) -> tuple[LabelSequence, EmbeddingSequence]:
-    """K-way clustering by k-1 sequential solves, each orthogonality-constrained to
-    the earlier cluster vectors, followed by per-frame k-means and label alignment."""
-    labels, emb, _ = tv_cluster_multi_detailed(seq, k, cfg)
-    return labels, emb
+        unit = res.c / np.linalg.norm(res.c, axis=1, keepdims=True)
+        V = np.concatenate([V, unit[:, None, :]], axis=1)
+    emb = np.stack([r.c for r in results], axis=2)
+    if k == 2:
+        labels = LabelSequence((emb[:, :, 0] < 0).astype(np.int64), 2)
+    else:
+        km_seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=_KMEANS_TAG).spawn(seq.t_len)
+        frames = [kmeans(emb[t], k, s) for t, s in enumerate(km_seeds)]
+        labels = align_sequence(LabelSequence(np.array(frames), k))
+    return labels, EmbeddingSequence(emb), results

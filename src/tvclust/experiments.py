@@ -57,7 +57,7 @@ def trial_seeds(seed: int, n: int) -> list[int]:
 def run_sbm_trial(params: SbmTvParams, cfg: SolverConfig) -> TrialOutcome:
     """Generate one sequence and cluster it with both methods."""
     seq, truth = sbm_tv_sequence(params)
-    est_tv, _ = tv_cluster_multi(seq, params.k, cfg)
+    est_tv, _, _ = tv_cluster_multi(seq, params.k, cfg)
     est_st = static_sc(seq, params.k, seed=cfg.seed)
     rep_tv = accuracy_report(est_tv, truth)
     rep_st = accuracy_report(est_st, truth)

@@ -64,52 +64,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class OrthogonalityBasis:
-    """Per-frame constraint directions; the primal must keep |c_t . v| <= eps for each.
-
-    Directions are stored as given: the all-ones direction is kept raw so the slab
-    bound applies to the plain coordinate sum, while deflation directions are unit
-    vectors appended via `extended`.
-    """
-
-    vectors: np.ndarray  # (t_len, n_dirs, n)
-
-    def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
-        if v.ndim != 3:
-            raise ValueError("expected directions of shape (t_len, n_dirs, n)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("directions must be finite")
-        if np.any(np.linalg.norm(v, axis=2) == 0.0):
-            raise ValueError("directions must be nonzero")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def t_len(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n_dirs(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.vectors.shape[2]
-
-    @classmethod
-    def all_ones(cls, t_len: int, n: int) -> "OrthogonalityBasis":
-        return cls(np.ones((t_len, 1, n)))
-
-    def extended(self, directions: np.ndarray) -> "OrthogonalityBasis":
-        """Append one direction per frame; `directions` has shape (t_len, n)."""
-        d = np.asarray(directions, dtype=float)
-        if d.shape != (self.t_len, self.n_nodes):
-            raise ValueError("expected one direction per frame")
-        return OrthogonalityBasis(np.concatenate([self.vectors, d[:, None, :]], axis=1))
-
-
-@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Returned primal iterate, its dual variables, its objective, and iteration diagnostics.
 
@@ -333,7 +287,7 @@ def _random_init(rng, t_len, n, slabs):
 
 def pds_solve(
     Ls: Sequence[scipy.sparse.csr_matrix],
-    basis: OrthogonalityBasis,
+    directions: np.ndarray,
     cfg: SolverConfig,
     init: np.ndarray,
 ) -> SolveResult:
@@ -343,8 +297,10 @@ def pds_solve(
     <= cfg.sigma and the iterate satisfies all frame constraints within tolerance,
     or at cfg.max_iters. The `converged` flag reports whether the former happened;
     a capped run returns its best-objective iterate re-projected onto the
-    constraints instead of the final one. `init` is the (t_len, n) start of the
-    first restart.
+    constraints instead of the final one. `directions` is the (t_len, n_dirs, n)
+    array of nonzero constraint directions, used as given, so an all-ones
+    direction bounds the plain coordinate sum. `init` is the (t_len, n) start of
+    the first restart, finite and with no all-zero frame.
     """
     import scipy.sparse
 
@@ -354,12 +310,20 @@ def pds_solve(
     n = Ls[0].shape[0]
     if any(L.shape != (n, n) for L in Ls):
         raise ValueError("all Laplacian blocks must be square and share one dimension")
-    if basis.t_len != t_len or basis.n_nodes != n:
-        raise ValueError("basis shape does not match the Laplacian sequence")
+    V = np.asarray(directions, dtype=float)
+    if V.ndim != 3 or V.shape[0] != t_len or V.shape[2] != n:
+        raise ValueError("directions shape does not match the Laplacian sequence")
+    if not np.isfinite(V).all():
+        raise ValueError("directions must be finite")
+    if np.any(np.linalg.norm(V, axis=2) == 0.0):
+        raise ValueError("directions must be nonzero")
     if np.shape(init) != (t_len, n):
         raise ValueError("init shape does not match the Laplacian sequence")
     if not np.isfinite(init).all():
         raise ValueError("init must be finite")
+    # a zero frame has no nearest sphere point, so the final re-projection would fail
+    if np.any(np.linalg.norm(init, axis=1) == 0.0):
+        raise ValueError("init frames must be nonzero")
 
     beta, beta_converged = max_eigenvalue(Ls)
     g1_default, g2_default = default_step_sizes(beta, cfg.alpha)
@@ -369,11 +333,10 @@ def pds_solve(
     eps = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * np.sqrt(n)
 
     Lblock = scipy.sparse.block_diag(Ls, format="csr")
-    V = basis.vectors
     Vsq = np.einsum("tln,tln->tl", V, V)
     slabs = [
         (np.ascontiguousarray(V[:, l]), np.ascontiguousarray(Vsq[:, l]))
-        for l in range(basis.n_dirs)
+        for l in range(V.shape[1])
     ]
 
     best = None

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from oracle_utils import pair_accuracy_oracle, slab_oracle, soft_oracle, sphere_oracle
 from tvclust import fileio
 from tvclust.cli import main as cli_main
-from tvclust.clustering import static_sc, tv_cluster_multi, tv_cluster_two
+from tvclust.clustering import static_sc, tv_cluster_multi
 from tvclust.experiments import (
     DENSE_DESK,
     SPARSE_DESK,
@@ -122,21 +122,14 @@ def test_c03_constraint_feasibility_on_converged_solves():
         n = seq.n
         eps = 1e-6 * np.sqrt(n)
         cfg = SolverConfig(alpha=1.0, seed=7)
-        if k == 2:
-            _, res = tv_cluster_two(seq, cfg)
-            results = [res]
-            bases = [np.ones((seq.t_len, 1, n))]
-        else:
-            from tvclust.clustering import tv_cluster_multi_detailed
-
-            _, emb, results = tv_cluster_multi_detailed(seq, k, cfg)
-            bases = []
-            dirs = np.ones((seq.t_len, 1, n))
-            for r in results:
-                bases.append(dirs.copy())
-                C = r.c
-                unit = C / np.linalg.norm(C, axis=1, keepdims=True)
-                dirs = np.concatenate([dirs, unit[:, None, :]], axis=1)
+        _, _, results = tv_cluster_multi(seq, k, cfg)
+        bases = []
+        dirs = np.ones((seq.t_len, 1, n))
+        for r in results:
+            bases.append(dirs.copy())
+            C = r.c
+            unit = C / np.linalg.norm(C, axis=1, keepdims=True)
+            dirs = np.concatenate([dirs, unit[:, None, :]], axis=1)
         for r, V in zip(results, bases):
             if not r.converged:
                 continue
@@ -162,7 +155,7 @@ def test_c04_static_sc_consistency():
     for seed in range(10):
         params = SbmTvParams(20, 2, 5, 0.9, 0.05, 0.0, seed=2000 + seed)
         seq, _ = sbm_tv_sequence(params)
-        labels, res = tv_cluster_two(seq, SolverConfig(alpha=0.0, seed=seed))
+        labels, _, _ = tv_cluster_multi(seq, 2, SolverConfig(alpha=0.0, seed=seed))
         for t, g in enumerate(seq.graphs):
             _, vecs = smallest_eigenvectors(build_laplacian(g), 2)
             fied = (vecs[:, 1] < 0).astype(int)
@@ -337,7 +330,7 @@ def test_c11_cli_determinism(tmp_path):
 def test_c12_point_cloud_substitute():
     cloud, truth = make_articulated_cloud(n_per_part=30, t_len=20, seed=0)
     seq = cloud_to_graphs(cloud, k=8)
-    est, _ = tv_cluster_multi(seq, 5, SolverConfig(alpha=1.0, seed=0))
+    est, _, _ = tv_cluster_multi(seq, 5, SolverConfig(alpha=1.0, seed=0))
     rep = accuracy_report(est, truth)
     report(
         12,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from tvclust import fileio
 from tvclust.cli import main
-from tvclust.clustering import LabelSequence, tv_cluster_multi_detailed, tv_cluster_two
+from tvclust.clustering import LabelSequence, tv_cluster_multi
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
 from tvclust.graphs import (
     TVGraphSequence,
@@ -223,6 +224,20 @@ class TestGenerateSbm:
             "graph_000.tvg", "graph_001.tvg", "graph_002.tvg"
         ]
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"n_per_cluster": 2.5}, "n_per_cluster"), ({"p_intra": "high"}, "p_intra"),
+         ({"trials": True}, "trials"), ({"seed": None}, "seed")],
+    )
+    def test_wrong_typed_config_value_exit_1(self, runner, tmp_path, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["generate-sbm", "--out", str(out), "--config", str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert f"{key} must be" in res.output
+        assert not list(out.glob("*.tvg"))
+
 
 class TestCluster:
     def test_tv_pds_labels_shape(self, runner, tmp_path):
@@ -254,7 +269,7 @@ class TestCluster:
         assert res.exit_code == 0, res.output
         report = json.loads((out / "report_g.json").read_text())
         cfg = SolverConfig(alpha=2.0, max_iters=200, seed=report["seed"])
-        labels, solve = tv_cluster_two(seq, cfg)
+        labels, _, (solve,) = tv_cluster_multi(seq, 2, cfg)
         assert np.array_equal(fileio.read_labels(out / "est_g.lbl").labels, labels.labels)
         C = solve.c
         quad = sum(quadratic_form(build_laplacian(g), c) for g, c in zip(seq.graphs, C))
@@ -275,7 +290,7 @@ class TestCluster:
         assert res.exit_code == 0, res.output
         report = json.loads((out / "report_g.json").read_text())
         cfg = SolverConfig(max_iters=50, seed=report["seed"])
-        _, _, results = tv_cluster_multi_detailed(seq, 3, cfg)
+        _, _, results = tv_cluster_multi(seq, 3, cfg)
         assert report["beta"] == [r.beta for r in results]
         assert report["beta_converged"] == [r.beta_converged for r in results]
         assert len(report["beta"]) == len(report["iterations"]) == 2
@@ -306,6 +321,74 @@ class TestCluster:
         assert res.exit_code == 0, res.output
         report = json.loads((out / "report_g.json").read_text())
         assert max(report["iterations"]) <= 75
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"alpha": "abc"}, "alpha"), ({"max_iters": 2.7}, "max_iters"),
+         ({"restarts": True}, "restarts"), ({"gamma1": [0.1]}, "gamma1"), ({"k": 2.5}, "k")],
+    )
+    def test_wrong_typed_config_value_exit_1(self, runner, tmp_path, config, key):
+        seq, _ = small_sequence(seed=3)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--config", str(cfg), "--seed", "1", "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"{key} must be" in res.output
+        assert not (out / "est_g.lbl").exists()
+
+    def test_integral_float_config_values_are_accepted(self, runner, tmp_path):
+        seq, _ = small_sequence(seed=3)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": 30.0, "k": 2.0, "alpha": 1}), encoding="utf-8")
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--config", str(cfg), "--seed", "1", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "report_g.json").read_text())
+        assert report["k"] == 2 and max(report["iterations"]) <= 30
+
+    @pytest.mark.parametrize(
+        "k, params, lbl_sha, report_sha",
+        [
+            (2, SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4),
+             "1092a1ea90212e30d7b8cbdfc1ef5a79495a25a89d484f26c8df30d5238a16f1",
+             "65cb6bbd237017f61f3682471a8ee9359cb1b9db02fa5667eedddcbcd079d365"),
+            (3, SbmTvParams(8, 3, 5, 0.7, 0.1, 0.05, seed=6),
+             "866c3a33cd16dd297aaa5149a5c20ab09f9eda927fa69d7194e451bd415146be",
+             "e8a03c3deff772a7943f60088be8aec0ada0d1584b909eb4ce2f8e482fbb5b46"),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_tv_pds_output_is_pinned(self, runner, tmp_path, k, params, lbl_sha, report_sha):
+        """SHA-256 of the label file and of the run report without wall_time_s.
+
+        The digests were captured when k = 2 still had its own two-way driver, so
+        they pin its output to that of the driver every k now shares. Like
+        tests/test_solver.py::TestBitIdentity they hold for one numpy, scipy and
+        OpenBLAS build.
+        """
+        seq, _ = sbm_tv_sequence(params)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--k", str(k), "--alpha", "2.0", "--max-iters", "300", "--seed", "11",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "report_g.json").read_text())
+        del report["wall_time_s"]
+        canonical = json.dumps(report, indent=2, sort_keys=True).encode()
+        assert hashlib.sha256((out / "est_g.lbl").read_bytes()).hexdigest() == lbl_sha
+        assert hashlib.sha256(canonical).hexdigest() == report_sha
 
     def test_directory_input_runs_all_trials(self, runner, tmp_path):
         data = tmp_path / "data"

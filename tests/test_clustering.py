@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvclust.clustering
 from oracle_utils import align_labels_oracle, kmeans_oracle, max_assignment_oracle
 from tvclust.clustering import (
     _STATIC_TAG,
@@ -16,7 +17,6 @@ from tvclust.clustering import (
     kmeans,
     static_sc,
     tv_cluster_multi,
-    tv_cluster_two,
 )
 from tvclust.generators import sbm_static, sbm_tv_sequence, SbmTvParams
 from tvclust.graphs import TVGraphSequence, WeightedGraph, build_laplacian, smallest_eigenvectors
@@ -79,6 +79,11 @@ class TestKmeans:
         a = kmeans(pts, 3, seed=6)
         b = kmeans(pts, 3, seed=6)
         assert np.array_equal(a, b)
+
+    def test_labels_own_their_memory(self):
+        # callers that keep one result per frame must not keep every restart's too
+        pts = np.random.default_rng(5).standard_normal((30, 3))
+        assert kmeans(pts, 3, seed=6, restarts=8).base is None
 
     def test_same_seed_sequence_object_repeats(self):
         pts = np.random.default_rng(7).standard_normal((30, 2))
@@ -259,10 +264,12 @@ class TestStaticSc:
 
 
 class TestTvClusterTwo:
+    """k = 2: the labels are the signs of the one cluster vector."""
+
     def test_disconnected_cliques_every_frame(self):
         g = cliques([5, 5], 10)
         seq = TVGraphSequence((g,) * 4)
-        est, res = tv_cluster_two(seq, SolverConfig(alpha=1.0, seed=12))
+        est, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=1.0, seed=12))
         truth = np.repeat([0, 1], 5)
         for t in range(4):
             assert pair_accuracy(est.frame(t), truth) == 1.0
@@ -272,14 +279,14 @@ class TestTvClusterTwo:
         labels = np.repeat([0, 1], 20)
         g = sbm_static(labels, 0.9, 0.05, rng)
         seq = TVGraphSequence((g,))
-        est, _ = tv_cluster_two(seq, SolverConfig(seed=14))
+        est, _, _ = tv_cluster_multi(seq, 2, SolverConfig(seed=14))
         st_est = static_sc(seq, 2, seed=14)
         assert pair_accuracy(est.frame(0), st_est.frame(0)) == 1.0
 
     def test_labels_depend_only_on_sign(self):
         g = cliques([5, 5], 10)
         seq = TVGraphSequence((g, g))
-        est, res = tv_cluster_two(seq, SolverConfig(seed=15))
+        est, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=15))
         scaled = (3.7 * res.c < 0).astype(np.int64)
         assert np.array_equal(scaled, est.labels)
 
@@ -288,26 +295,17 @@ class TestTvClusterMulti:
     def test_three_cliques_exact(self):
         g = cliques([4, 4, 4], 12)
         seq = TVGraphSequence((g,) * 3)
-        est, emb = tv_cluster_multi(seq, 3, SolverConfig(alpha=1.0, seed=16))
+        est, emb, _ = tv_cluster_multi(seq, 3, SolverConfig(alpha=1.0, seed=16))
         truth = np.repeat([0, 1, 2], 4)
         for t in range(3):
             assert pair_accuracy(est.frame(t), truth) == 1.0
-
-    def test_k2_agrees_with_polarity(self):
-        g = cliques([5, 5], 10)
-        seq = TVGraphSequence((g, g))
-        cfg = SolverConfig(alpha=1.0, seed=17)
-        multi_est, _ = tv_cluster_multi(seq, 2, cfg)
-        two_est, _ = tv_cluster_two(seq, cfg)
-        for t in range(2):
-            assert pair_accuracy(multi_est.frame(t), two_est.frame(t)) == 1.0
 
     def test_embedding_norms_and_orthogonality(self):
         params = SbmTvParams(n_per_cluster=8, k=3, t_len=3, p_intra=0.9, p_inter=0.05,
                              flip_prob=0.0, seed=18)
         seq, _ = sbm_tv_sequence(params)
         cfg = SolverConfig(alpha=1.0, seed=19)
-        est, emb = tv_cluster_multi(seq, 3, cfg)
+        est, emb, _ = tv_cluster_multi(seq, 3, cfg)
         n = seq.n
         eps = 1e-6 * np.sqrt(n)
         for t in range(seq.t_len):
@@ -321,13 +319,16 @@ class TestTvClusterMulti:
                     vb = emb.vectors[t, :, b]
                     assert abs(float(va @ vb)) <= (eps + 1e-8) * np.linalg.norm(vb)
 
-    def test_k_bounds(self):
+    def test_k_bounds(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("pds_solve ran for an invalid k")
+
+        monkeypatch.setattr(tvclust.clustering, "pds_solve", no_solve)
         g = cliques([2, 2], 4)
         seq = TVGraphSequence((g,))
-        with pytest.raises(ValueError):
-            tv_cluster_multi(seq, 1, SolverConfig(seed=0))
-        with pytest.raises(ValueError):
-            tv_cluster_multi(seq, 6, SolverConfig(seed=0))
+        for k in (1, 5, 6):
+            with pytest.raises(ValueError, match="k must"):
+                tv_cluster_multi(seq, k, SolverConfig(seed=0))
 
 
 class TestContainers:

@@ -19,9 +19,8 @@ from tvclust.graphs import (
     smallest_eigenvectors,
     temporal_diff,
 )
-from tvclust.clustering import tv_cluster_multi_detailed, tv_cluster_two
+from tvclust.clustering import tv_cluster_multi
 from tvclust.solver import (
-    OrthogonalityBasis,
     SolverConfig,
     SolverError,
     StepSizeError,
@@ -40,12 +39,12 @@ def two_block_graph(seed, n=40, p_in=0.9, p_out=0.05):
     return sbm_static(labels, p_in, p_out, rng), labels
 
 
-def assert_feasible(res, basis, eps):
+def assert_feasible(res, V, eps):
     C = res.c
     n = C.shape[1]
     sq = np.einsum("tn,tn->t", C, C)
     assert np.abs(sq - n).max() <= NORM_TOL * n
-    dots = np.einsum("tn,tln->tl", C, basis.vectors)
+    dots = np.einsum("tn,tln->tl", C, V)
     assert np.abs(dots).max() <= eps + EPS_TOL
 
 
@@ -71,29 +70,11 @@ class TestSolverConfig:
             check_step_sizes(gamma1=1.0, gamma2=1.0, beta=10.0)
 
 
-class TestOrthogonalityBasis:
-    def test_shapes(self):
-        b = OrthogonalityBasis.all_ones(3, 5)
-        assert (b.t_len, b.n_dirs, b.n_nodes) == (3, 1, 5)
-
-    def test_extended(self):
-        b = OrthogonalityBasis.all_ones(2, 3)
-        d = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        b2 = b.extended(d)
-        assert b2.n_dirs == 2
-        assert np.array_equal(b2.vectors[:, 1, :], d)
-
-    def test_rejects_zero_direction(self):
-        v = np.ones((2, 1, 3))
-        v[1, 0] = 0.0
-        with pytest.raises(ValueError):
-            OrthogonalityBasis(v)
-
-
 class TestSolveResult:
     def test_arrays_are_readonly_frames(self):
         g, _ = two_block_graph(seed=19, n=10)
-        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        seq = TVGraphSequence((g, g))
+        _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=0, max_iters=5))
         for v in (res.c, res.d1, res.d2):
             assert v.shape == (2, g.n)
             with pytest.raises(ValueError):
@@ -102,7 +83,8 @@ class TestSolveResult:
 
     def test_records_beta_used(self):
         g, _ = two_block_graph(seed=19, n=10)
-        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        seq = TVGraphSequence((g, g))
+        _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=0, max_iters=5))
         assert res.beta == max_eigenvalue([build_laplacian(g)] * 2).value
         assert res.beta_converged is True
 
@@ -111,7 +93,8 @@ class TestSolveResult:
         beta = max_eigenvalue([build_laplacian(g)]).value
         unconverged = MaxEigenvalue(beta, False)
         monkeypatch.setattr(tvclust.solver, "max_eigenvalue", lambda Ls: unconverged)
-        _, res = tv_cluster_two(TVGraphSequence((g, g)), SolverConfig(seed=0, max_iters=5))
+        seq = TVGraphSequence((g, g))
+        _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=0, max_iters=5))
         assert res.beta == beta
         assert res.beta_converged is False
 
@@ -137,7 +120,7 @@ class TestBitIdentity:
 
     def test_capped_unsettled_solve(self):
         seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
-        _, res = tv_cluster_two(seq, SolverConfig(alpha=2.0, seed=4, max_iters=200))
+        _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=2.0, seed=4, max_iters=200))
         self.assert_pinned(
             res, 200, False, 523.7039364519356,
             "f46b4482bb7558102e96b95cb96058661551b3cb7febd83a2c679c9082c86b18",
@@ -149,8 +132,8 @@ class TestBitIdentity:
         init = np.random.default_rng(9).standard_normal((2, 20))
         init -= init.mean(axis=1, keepdims=True)
         init *= np.sqrt(20) / np.linalg.norm(init, axis=1, keepdims=True)
-        basis = OrthogonalityBasis.all_ones(2, 20)
-        res = pds_solve([build_laplacian(g)] * 2, basis, SolverConfig(alpha=0.5, seed=3), init)
+        V = np.ones((2, 1, 20))
+        res = pds_solve([build_laplacian(g)] * 2, V, SolverConfig(alpha=0.5, seed=3), init)
         self.assert_pinned(
             res, 655, True, 26.625657766031072,
             "29958c896480e283b68127d205cac7c442517d10731c9575cba09c7ec660e6d4",
@@ -161,7 +144,7 @@ class TestBitIdentity:
         # the second deflation level keeps the all-ones and the first cluster vector
         seq, _ = sbm_tv_sequence(SbmTvParams(8, 3, 5, 0.7, 0.1, 0.05, seed=6))
         cfg = SolverConfig(alpha=1.0, seed=6, max_iters=300)
-        _, _, results = tv_cluster_multi_detailed(seq, 3, cfg)
+        _, _, results = tv_cluster_multi(seq, 3, cfg)
         self.assert_pinned(
             results[1], 300, False, 148.62481900651704,
             "e4dd543b1826956ae6eb8420765e98473a25162950978c3fd4b57d9d7b3be3cd",
@@ -197,21 +180,21 @@ class TestIterateMatchesOperatorComposition:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
         Ls = [build_laplacian(sbm_static(labels, 0.8, 0.2, rng)) for _ in range(t_len)]
-        basis = OrthogonalityBasis.all_ones(t_len, n)
+        V = np.ones((t_len, 1, n))
         if extra_direction:
             u = rng.standard_normal((t_len, n))
-            basis = basis.extended(u / np.linalg.norm(u, axis=1, keepdims=True))
+            unit = u / np.linalg.norm(u, axis=1, keepdims=True)
+            V = np.concatenate([V, unit[:, None, :]], axis=1)
         C0 = rng.standard_normal((t_len, n))
         if zero_row:
             C0[0] = 0.0
         g1, g2 = default_step_sizes(max_eigenvalue(Ls).value, alpha)
         eps = eps_scale * np.sqrt(n)
         Lblock = scipy.sparse.block_diag(Ls, format="csr")
-        V = basis.vectors
         Vsq = np.einsum("tln,tln->tl", V, V)
         slabs = [
             (np.ascontiguousarray(V[:, l]), np.ascontiguousarray(Vsq[:, l]))
-            for l in range(basis.n_dirs)
+            for l in range(V.shape[1])
         ]
         args = (eps, alpha, g1, g2, 1e-5, max_iters, C0)
         iterate = tvclust.solver._iterate
@@ -226,7 +209,7 @@ class TestPdsSolve:
     def test_single_frame_matches_fiedler_signs(self):
         g, planted = two_block_graph(seed=0)
         seq = TVGraphSequence((g,))
-        labels, res = tv_cluster_two(seq, SolverConfig(seed=1))
+        labels, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=1))
         assert res.converged
         L = build_laplacian(g)
         _, vecs = smallest_eigenvectors(L, 2)
@@ -238,17 +221,16 @@ class TestPdsSolve:
         g, _ = two_block_graph(seed=2)
         seq = TVGraphSequence((g, g, g))
         cfg = SolverConfig(alpha=2.0, seed=3)
-        labels, res = tv_cluster_two(seq, cfg)
+        labels, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert res.converged
-        basis = OrthogonalityBasis.all_ones(3, g.n)
         eps = 1e-6 * np.sqrt(g.n)
-        assert_feasible(res, basis, eps)
+        assert_feasible(res, np.ones((3, 1, g.n)), eps)
 
     def test_large_alpha_forces_frame_agreement(self):
         g, _ = two_block_graph(seed=4, n=20)
         seq = TVGraphSequence((g, g))
         Ls = [build_laplacian(gr) for gr in seq.graphs]
-        basis = OrthogonalityBasis.all_ones(2, g.n)
+        V = np.ones((2, 1, g.n))
         rng = np.random.default_rng(9)
         init = rng.standard_normal((2, g.n))
         init -= init.mean(axis=1, keepdims=True)
@@ -261,7 +243,7 @@ class TestPdsSolve:
         cfg = SolverConfig(
             alpha=1e4, gamma1=1.0 / (beta + 50.0), gamma2=beta / 10.0, seed=5, max_iters=20000
         )
-        res = pds_solve(Ls, basis, cfg, init)
+        res = pds_solve(Ls, V, cfg, init)
         C = res.c
         assert np.abs(C[1] - C[0]).max() <= 1e-3
 
@@ -274,7 +256,7 @@ class TestPdsSolve:
             frames.append(g)
             planted.append(lab)
         seq = TVGraphSequence(tuple(frames))
-        labels, res = tv_cluster_two(seq, SolverConfig(alpha=0.0, seed=7))
+        labels, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=0.0, seed=7))
         for t, g in enumerate(seq.graphs):
             _, vecs = smallest_eigenvectors(build_laplacian(g), 2)
             fied = (vecs[:, 1] < 0).astype(int)
@@ -285,15 +267,15 @@ class TestPdsSolve:
         g, _ = two_block_graph(seed=8, n=20)
         seq = TVGraphSequence((g,) * 4)
         cfg = SolverConfig(alpha=1.5, seed=9)
-        _, res = tv_cluster_two(seq, cfg)
+        _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert np.abs(res.d2).max() <= cfg.alpha + 1e-12
 
     def test_determinism_bitwise(self):
         g, _ = two_block_graph(seed=10, n=24)
         seq = TVGraphSequence((g, g))
         cfg = SolverConfig(alpha=1.0, seed=11, restarts=3)
-        _, r1 = tv_cluster_two(seq, cfg)
-        _, r2 = tv_cluster_two(seq, cfg)
+        _, _, (r1,) = tv_cluster_multi(seq, 2, cfg)
+        _, _, (r2,) = tv_cluster_multi(seq, 2, cfg)
         assert np.array_equal(r1.c, r2.c)
         assert np.array_equal(r1.d1, r2.d1)
         assert np.array_equal(r1.d2, r2.d2)
@@ -303,7 +285,7 @@ class TestPdsSolve:
     def test_objective_trace_finite_and_improving(self):
         g, _ = two_block_graph(seed=12)
         seq = TVGraphSequence((g,) * 3)
-        _, res = tv_cluster_two(seq, SolverConfig(alpha=2.0, seed=13))
+        _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=2.0, seed=13))
         trace = res.objective_trace
         assert np.all(np.isfinite(trace))
         assert trace[-1] <= trace[0] + 1e-9 * max(1.0, abs(trace[0]))
@@ -311,52 +293,79 @@ class TestPdsSolve:
     def test_step_size_violation_raises(self):
         g, _ = two_block_graph(seed=14, n=10)
         Ls = [build_laplacian(g)]
-        basis = OrthogonalityBasis.all_ones(1, g.n)
         init = np.ones((1, g.n))
         cfg = SolverConfig(gamma1=10.0, gamma2=10.0, seed=0)
         with pytest.raises(StepSizeError):
-            pds_solve(Ls, basis, cfg, init)
+            pds_solve(Ls, np.ones((1, 1, g.n)), cfg, init)
 
     def test_shape_validation(self):
         g, _ = two_block_graph(seed=15, n=10)
         Ls = [build_laplacian(g)]
-        basis = OrthogonalityBasis.all_ones(2, g.n)
         init = np.ones((1, g.n))
         with pytest.raises(ValueError):
-            pds_solve(Ls, basis, SolverConfig(), init)
+            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(), init)
+
+    @pytest.mark.parametrize(
+        "shape, bad, match",
+        [
+            ((1, 1, 10), None, "directions shape"),
+            ((2, 1, 9), None, "directions shape"),
+            ((2, 10), None, "directions shape"),
+            ((2, 2, 10), 0.0, "directions must be nonzero"),
+            ((2, 2, 10), np.nan, "directions must be finite"),
+            ((2, 2, 10), np.inf, "directions must be finite"),
+        ],
+        ids=["frames", "nodes", "flat", "zero", "nan", "inf"],
+    )
+    def test_rejects_bad_directions(self, shape, bad, match):
+        g, _ = two_block_graph(seed=15, n=10)
+        Ls = [build_laplacian(g)] * 2
+        V = np.ones(shape)
+        if bad is not None:
+            V[1, 1] = bad
+        with pytest.raises(ValueError, match=match):
+            pds_solve(Ls, V, SolverConfig(seed=0), np.ones((2, 10)))
 
     def test_non_finite_detection_reports_iteration(self):
         # a finite start whose first step overflows
         g, _ = two_block_graph(seed=16, n=10)
         Ls = [build_laplacian(gr) for gr in (g, g)]
-        basis = OrthogonalityBasis.all_ones(2, g.n)
         init = np.ones((2, g.n))
         init[1, 0] = 1e200
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="iteration 1"):
-            pds_solve(Ls, basis, SolverConfig(seed=0), init)
+            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_init(self, bad):
         g, _ = two_block_graph(seed=16, n=10)
         Ls = [build_laplacian(gr) for gr in (g, g)]
-        basis = OrthogonalityBasis.all_ones(2, g.n)
         init = np.ones((2, g.n))
         init[1, 3] = bad
         with pytest.raises(ValueError, match="init must be finite"):
-            pds_solve(Ls, basis, SolverConfig(seed=0), init)
+            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
+
+    def test_rejects_zero_frame_init(self):
+        # a capped run whose start stays its best iterate would re-project the zero frame
+        g = sbm_static(np.repeat([0, 1], 10), 0.5, 0.2, np.random.default_rng(4))
+        Ls = [build_laplacian(g)] * 2
+        init = np.random.default_rng(0).standard_normal((2, 20))
+        init[1] = 0.0
+        cfg = SolverConfig(alpha=2.0, seed=0, max_iters=1)
+        with pytest.raises(ValueError, match="init frames must be nonzero"):
+            pds_solve(Ls, np.ones((2, 1, 20)), cfg, init)
 
     def test_restarts_return_best_objective(self):
         g, _ = two_block_graph(seed=17, n=20)
         seq = TVGraphSequence((g, g))
-        _, res1 = tv_cluster_two(seq, SolverConfig(alpha=1.0, seed=18, restarts=1))
-        _, res5 = tv_cluster_two(seq, SolverConfig(alpha=1.0, seed=18, restarts=5))
+        _, _, (res1,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=1.0, seed=18, restarts=1))
+        _, _, (res5,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=1.0, seed=18, restarts=5))
         assert res5.objective <= res1.objective + 1e-9
 
     def test_objective_describes_returned_iterate(self):
         # a capped solve returns its polished best iterate, not the last one visited
         seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
         cfg = SolverConfig(alpha=2.0, seed=4, max_iters=200)
-        _, res = tv_cluster_two(seq, cfg)
+        _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert not res.converged
         quad = sum(quadratic_form(build_laplacian(g), c) for g, c in zip(seq.graphs, res.c))
         want = 0.5 * quad + cfg.alpha * float(np.abs(temporal_diff(res.c)).sum())

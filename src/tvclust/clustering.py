@@ -89,43 +89,125 @@ class EmbeddingSequence:
         return self.vectors.shape[2]
 
 
-def _kmeans_pp(pts: np.ndarray, k: int, rngs) -> np.ndarray:
-    """(runs, k, d) k-means++ starting centers, one run per generator.
+# Each work array of one k-means batch holds about this many float64 values at
+# most (runs x n x max(k, d)): larger batches cost memory and gain little time.
+_KMEANS_BATCH_ELEMENTS = 1 << 16
+
+
+def _plane_sum(term, d: int, start: int = 0) -> np.ndarray:
+    """term(start) + ... + term(start + d - 1), added in the order in which
+    ndarray.sum(axis=-1) adds the d entries of a C-contiguous last axis.
+
+    That order is numpy's pairwise summation: fewer than 8 terms left to right;
+    up to 128 terms as 8 interleaved partial sums, combined pairwise, then the
+    rest in order; more terms as two halves, the first a multiple of 8 long.
+    numpy starts from 0.0, which differs from starting at the first term only
+    for a -0.0 total, and sums of squares never give one. term(j, out) returns
+    the j-th term, written to `out` when that is given.
+    """
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        acc = _plane_sum(term, half, start)
+        acc += _plane_sum(term, d - half, start + half)
+        return acc
+    if d < 8:
+        acc, rest = term(start), range(start + 1, start + d)
+    else:
+        part = [term(start + j) for j in range(8)]
+        tail = start + d - d % 8
+        for i in range(start + 8, tail, 8):
+            for j in range(8):
+                part[j] += term(i + j)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            part[a] += part[b]
+        acc, rest = part[0], range(tail, start + d)
+    buf = None
+    for j in rest:
+        buf = term(j, buf)
+        acc += buf
+    return acc
+
+
+def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(runs, m, n) squared distances from each run's m centers to its n points.
+
+    X holds the (d, runs, n) coordinate planes of each run's points and C the
+    (d, runs, m) planes of its centers. The d squared differences add up as
+    ((pts - center) ** 2).sum(axis=-1) adds them, one plane at a time.
+    """
+
+    def term(j, out=None):
+        out = np.subtract(X[j][:, None, :], C[j][:, :, None], out=out)
+        return np.square(out, out=out)
+
+    return _plane_sum(term, X.shape[0])
+
+
+def _nearest(d2: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(runs, n) nearest center of every point, as d2.argmin(axis=1) picks it.
+
+    d2 holds (runs, k, n) squared distances to the (d, runs, k) centers C. Ties
+    go to the lower center. A NaN center makes its row of d2 NaN, and argmin
+    then picks a run's first NaN center for all of its points.
+    """
+    runs, k, n = d2.shape
+    best = d2[:, 0].copy()
+    nearest = np.zeros((runs, n), dtype=np.intp)
+    closer = np.empty((runs, n), dtype=bool)
+    hit = np.empty((runs, n), dtype=np.intp)
+    for c in range(1, k):
+        np.less(d2[:, c], best, out=closer)
+        np.minimum(best, d2[:, c], out=best)
+        # the last center that came strictly closer is the first of the minima
+        np.maximum(nearest, np.multiply(closer, c, out=hit), out=nearest)
+    nan_centers = np.isnan(C).any(axis=0)
+    for r in np.flatnonzero(nan_centers.any(axis=1)):
+        nearest[r] = nan_centers[r].argmax()
+    return nearest
+
+
+def _kmeans_pp(X: np.ndarray, k: int, rngs) -> np.ndarray:
+    """(d, runs, k) k-means++ starting centers, one run per generator, from the
+    (d, runs, n) coordinate planes of each run's points.
 
     Each run draws from its own generator as a lone run would: its first center
     uniformly, each later one with probability proportional to the squared
     distance to the nearest center so far, or uniformly once that is zero.
     """
-    n = pts.shape[0]
-    centers = np.empty((len(rngs), k, pts.shape[1]))
-    centers[:, 0] = pts[[int(rng.integers(n)) for rng in rngs]]
-    d2 = ((pts - centers[:, 0, None, :]) ** 2).sum(axis=2)
+    _, runs, n = X.shape
+    rows = np.arange(runs)
+    C = np.empty((X.shape[0], runs, k))
+    C[:, :, 0] = X[:, rows, [int(rng.integers(n)) for rng in rngs]]
+    d2 = _sq_dists(X, C[:, :, :1])[:, 0]
     for c in range(1, k):
         totals = d2.sum(axis=1)
-        # the inverse-CDF draw Generator.choice(n, p=p[r]) makes, for all runs at once
+        spread = (totals > 0.0).tolist()
+        # the inverse-CDF draw Generator.choice(n, p=p[r]) makes: the number of
+        # entries of the nondecreasing cdf[r] that are <= u
         with np.errstate(invalid="ignore"):
             cdf = np.cumsum(d2 / totals[:, None], axis=1)
             cdf /= cdf[:, -1:]
-        idx = [
-            int(cdf[r].searchsorted(rng.random(), side="right"))
-            if totals[r] > 0.0
-            else int(rng.integers(n))
-            for r, rng in enumerate(rngs)
-        ]
-        centers[:, c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[:, c, None, :]) ** 2).sum(axis=2))
-    return centers
+        u = np.array([rng.random() if s else np.nan for rng, s in zip(rngs, spread)])
+        idx = (cdf <= u[:, None]).sum(axis=1)
+        for r, s in enumerate(spread):
+            if not s:
+                idx[r] = rngs[r].integers(n)
+        C[:, :, c] = X[:, rows, idx]
+        np.minimum(d2, _sq_dists(X, C[:, :, c : c + 1])[:, 0], out=d2)
+    return C
 
 
-def _reseed_empty(pts: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray):
-    """Move each emptied cluster, in turn, to the current worst-fit point (in place)."""
-    n = pts.shape[0]
-    for c in range(centers.shape[0]):
+def _reseed_empty(x: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray):
+    """Move each emptied cluster of one run, in turn, to its current worst-fit
+    point; x holds the run's (d, n) point planes, d2 its (k, n) squared
+    distances and centers its (d, k) center planes, all updated in place."""
+    n = x.shape[1]
+    for c in range(centers.shape[1]):
         if not np.any(assign == c):
-            far = int(d2[np.arange(n), assign].argmax())
-            centers[c] = pts[far]
+            far = int(d2[assign, np.arange(n)].argmax())
+            centers[:, c] = x[:, far]
             assign[far] = c
-            d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
+            d2[c] = _sq_dists(x[:, None], centers[:, None, c : c + 1])[0, 0]
 
 
 def _bins(assign: np.ndarray, k: int) -> np.ndarray:
@@ -139,72 +221,71 @@ def _block_sums(grouped: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.array([grouped[e - m : e].sum() for e, m in zip(ends, counts.tolist())])
 
 
-def _cluster_means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """(runs, k, d) means of the points in each cluster of each run's assignment.
+def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """(d, runs, k) means of each cluster of each run's (runs, n) assignment,
+    from the (d, runs, n) coordinate planes of each run's points.
 
     Each mean adds its points in the order pts[mask].mean(axis=0) adds them and
     divides by the count; an empty cluster gets NaN, as that mean does.
     """
-    runs = assign.shape[0]
-    d = pts.shape[1]
+    d, runs, _ = X.shape
     bins = _bins(assign, k)
     counts = np.bincount(bins, minlength=runs * k)
     if d == 1:
         # numpy sums a single column pairwise, not in row order
-        grouped = np.tile(pts[:, 0], runs)[np.argsort(bins, kind="stable")]
-        sums = _block_sums(grouped, counts)[:, None]
+        sums = _block_sums(X.ravel()[np.argsort(bins, kind="stable")], counts)[None]
     else:
-        # one bincount over (cluster, column) bins adds each column in row order
-        flat = (bins[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(
-            flat, weights=np.tile(pts, (runs, 1)).ravel(), minlength=runs * k * d
-        ).reshape(runs * k, d)
+        # a bincount adds each cluster's coordinates in row order
+        sums = np.array([np.bincount(bins, weights=x.ravel(), minlength=runs * k) for x in X])
     with np.errstate(invalid="ignore"):
-        return (sums / counts[:, None]).reshape(runs, k, d)
+        return (sums / counts).reshape(d, runs, k)
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iters: int) -> np.ndarray:
-    """Lloyd's iterations for every run at once from (runs, k, d) starting centers.
+def _lloyd(X: np.ndarray, C: np.ndarray, max_iters: int) -> np.ndarray:
+    """(runs, n) assignments of Lloyd's iterations for every run at once, from
+    the (d, runs, n) point planes X and (d, runs, k) starting centers C.
 
     A run stops once its assignment repeats, or after max_iters assignments; its
-    emptied clusters are re-seeded as a lone run would re-seed them.
+    emptied clusters are re-seeded as a lone run would re-seed them. Stopped runs
+    leave the work arrays.
     """
-    runs, k, _ = centers.shape
-    n = pts.shape[0]
+    _, runs, n = X.shape
+    k = C.shape[2]
     assign = np.empty((runs, n), dtype=np.intp)
-    active = np.arange(runs)
-    for it in range(max_iters):
-        # one center at a time keeps the temporary at (runs, n, d)
-        d2 = np.empty((active.size, n, k))
-        for c, center in enumerate(centers[active].transpose(1, 0, 2)):
-            diff = pts - center[:, None, :]
-            d2[:, :, c] = np.square(diff, out=diff).sum(axis=2)
-        new = d2.argmin(axis=2)
-        full = (new[:, :, None] == np.arange(k)).any(axis=1).all(axis=1)
-        for i in np.flatnonzero(~full):
-            _reseed_empty(pts, d2[i], new[i], centers[active[i]])
-        if it > 0:
-            moved = (new != assign[active]).any(axis=1)
-            active, new = active[moved], new[moved]
-            if active.size == 0:
-                break
-        assign[active] = new
-        centers[active] = _cluster_means(pts, new, k)
+    live = np.arange(runs)
+    prev = None
+    for _ in range(max_iters):
+        d2 = _sq_dists(X, C)
+        new = _nearest(d2, C)
+        counts = np.bincount(_bins(new, k), minlength=new.shape[0] * k).reshape(-1, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseed_empty(X[:, i], d2[i], new[i], C[:, i])
+        if prev is not None:
+            moved = (new != prev).any(axis=1)
+            if not moved.all():
+                assign[live[~moved]] = new[~moved]
+                live, new, X = live[moved], new[moved], X[:, moved]
+        prev = new
+        if live.size == 0:
+            break
+        C = _cluster_means(X, new, k)
+    assign[live] = prev
     return assign
 
 
-def _wcss(pts: np.ndarray, assign: np.ndarray, k: int) -> list[float]:
-    """Within-cluster sum of squares of each run's assignment.
+def _wcss(X: np.ndarray, assign: np.ndarray, k: int) -> list[float]:
+    """Within-cluster sum of squares of each run's (runs, n) assignment, from
+    the (d, runs, n) coordinate planes of each run's points.
 
-    Each cluster sums its squared deviations as one block, and the clusters add
-    up in label order, so a run scores exactly as it would on its own.
+    Each cluster sums its squared deviations as one block of rows, and the
+    clusters add up in label order, so a run scores exactly as it would on its
+    own.
     """
-    runs = assign.shape[0]
-    d = pts.shape[1]
+    d, runs, n = X.shape
     bins = _bins(assign, k)
     order = np.argsort(bins, kind="stable")
-    means = _cluster_means(pts, assign, k).reshape(runs * k, d)
-    dev = np.tile(pts, (runs, 1))[order] - means[bins[order]]
+    means = _cluster_means(X, assign, k).reshape(d, runs * k).T
+    dev = X.reshape(d, runs * n).T[order] - means[bins[order]]
     terms = _block_sums(dev**2, np.bincount(bins, minlength=runs * k))
     scores = []
     for row in terms.reshape(runs, k).tolist():
@@ -215,27 +296,34 @@ def _wcss(pts: np.ndarray, assign: np.ndarray, k: int) -> list[float]:
     return scores
 
 
-def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
-    """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS.
+def _best_restarts(X: np.ndarray, assigns: np.ndarray, k: int, restarts: int) -> np.ndarray:
+    """Each frame's assignment of least WCSS among its `restarts` consecutive
+    runs, ties to the earliest; identical assignments score identically, so
+    only the first of each is scored."""
+    firsts = []
+    for lo in range(0, assigns.shape[0], restarts):
+        seen = {}
+        for r in range(lo, lo + restarts):
+            seen.setdefault(assigns[r].tobytes(), r)
+        firsts.append(list(seen.values()))
+    rows = [r for runs in firsts for r in runs]
+    score = dict(zip(rows, _wcss(X[:, rows], assigns[rows], k)))
+    best = []
+    for runs in firsts:
+        pick, least = runs[0], np.inf
+        for r in runs:
+            if score[r] < least:
+                pick, least = r, score[r]
+        best.append(pick)
+    return assigns[best]
 
-    The restarts run as one batch; ties in WCSS go to the earliest restart.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+
+def _restart_rngs(seed, restarts: int) -> list:
+    """One generator per restart, seeded by the children root.spawn(restarts)
+    gives a fresh root, without advancing root."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # the children root.spawn(restarts) gives a fresh root, without advancing root;
     # Generator(PCG64(.)) is what default_rng builds, minus its argument dispatch
-    rngs = [
+    return [
         np.random.Generator(
             np.random.PCG64(
                 np.random.SeedSequence(
@@ -245,21 +333,51 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         )
         for i in range(restarts)
     ]
-    centers = _kmeans_pp(pts, k, rngs)
-    assigns = _lloyd(pts, centers, max_iters)
-    # identical assignments score identically, so only the first of each is scored
-    first = {}
-    for r, assign in enumerate(assigns):
-        first.setdefault(assign.tobytes(), r)
-    distinct = assigns[list(first.values())]
-    best_assign = None
-    best_wcss = np.inf
-    for assign, wcss in zip(distinct, _wcss(pts, distinct, k)):
-        if wcss < best_wcss:
-            best_wcss = wcss
-            best_assign = assign
-    # a copy: a row view would keep every distinct assignment alive with it
-    return best_assign.copy()
+
+
+def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
+    """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS.
+
+    `points` is one (n, d) point set (or n values) with one `seed`, giving (n,)
+    labels, or a (frames, n, d) stack with a sequence of one seed per frame,
+    giving (frames, n) labels. Each frame gets the labels it would get on its
+    own, ties in WCSS going to the earliest restart. The restarts of many
+    frames run together in one Lloyd loop, in batches of bounded size.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    stacked = pts.ndim == 3
+    if stacked:
+        seeds = list(seed)
+        if len(seeds) != pts.shape[0]:
+            raise ValueError(f"expected {pts.shape[0]} seeds, one per frame, got {len(seeds)}")
+    elif pts.ndim == 2:
+        pts = pts[None]
+        seeds = [seed]
+    else:
+        raise ValueError("points must be an (n, d) array or a (frames, n, d) stack")
+    frames, n, d = pts.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    # sums over coordinates follow the C layout whatever the layout of points
+    pts = np.ascontiguousarray(pts)
+    per_batch = max(1, _KMEANS_BATCH_ELEMENTS // (restarts * n * max(k, d)))
+    labels = np.empty((frames, n), dtype=np.intp)
+    for lo in range(0, frames, per_batch):
+        hi = min(lo + per_batch, frames)
+        X = np.repeat(pts[lo:hi].transpose(2, 0, 1), restarts, axis=1)
+        rngs = [rng for s in seeds[lo:hi] for rng in _restart_rngs(s, restarts)]
+        assigns = _lloyd(X, _kmeans_pp(X, k, rngs), max_iters)
+        labels[lo:hi] = _best_restarts(X, assigns, k, restarts)
+    # a copy, so that one frame's labels own their memory as a stack's do
+    return labels if stacked else labels[0].copy()
 
 
 def _max_assignment(table: np.ndarray) -> list[int]:
@@ -358,9 +476,8 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
     if k > seq.n:
         raise ValueError("k must not exceed the node count")
     frame_seeds = np.random.SeedSequence(entropy=seed, spawn_key=_STATIC_TAG).spawn(seq.t_len)
-    embeddings = [smallest_eigenvectors(build_laplacian(g), k)[1] for g in seq.graphs]
-    labels = [kmeans(vecs, k, s) for vecs, s in zip(embeddings, frame_seeds)]
-    return LabelSequence(np.array(labels), k)
+    embeddings = np.stack([smallest_eigenvectors(build_laplacian(g), k)[1] for g in seq.graphs])
+    return LabelSequence(kmeans(embeddings, k, frame_seeds), k)
 
 
 def _warm_start(Ls, V: np.ndarray, rng) -> np.ndarray:
@@ -427,6 +544,5 @@ def tv_cluster_multi(
         labels = LabelSequence((emb[:, :, 0] < 0).astype(np.int64), 2)
     else:
         km_seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=_KMEANS_TAG).spawn(seq.t_len)
-        frames = [kmeans(emb[t], k, s) for t, s in enumerate(km_seeds)]
-        labels = align_sequence(LabelSequence(np.array(frames), k))
+        labels = align_sequence(LabelSequence(kmeans(emb, k, km_seeds), k))
     return labels, EmbeddingSequence(emb), results

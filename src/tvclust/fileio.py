@@ -24,17 +24,19 @@ _EDGE_DTYPE = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w",
 
 def _write_text(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_tvg(path, seq: TVGraphSequence) -> None:
     lines = [f"{TVG_MAGIC} {FORMAT_VERSION} {seq.n} {seq.t_len}"]
     for t, g in enumerate(seq.graphs):
         i, j, w = g.edge_arrays()
+        # weights repeat, so each distinct bit pattern (-0.0 apart from 0.0) is
+        # formatted once
+        bits, which = np.unique(w.view(np.int64), return_inverse=True)
+        text = [repr(x) for x in bits.view(np.float64).tolist()]
         lines.extend(
-            f"{t} {a} {b} {float(c)!r}" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist())
+            f"{t} {a} {b} {text[c]}" for a, b, c in zip(i.tolist(), j.tolist(), which.tolist())
         )
     _write_text(path, lines)
 

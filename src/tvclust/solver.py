@@ -47,6 +47,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness is checked first
+        for name in ("alpha", "gamma1", "gamma2", "epsilon", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.gamma1 is not None and self.gamma1 <= 0:

@@ -106,6 +106,29 @@ class TestFileFormats:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == f"tvg 1 {seq.n} {seq.t_len}"
 
+    def test_tvg_writer_matches_per_edge_repr(self, tmp_path):
+        # the per-edge formatter the writer replaced, as the format defines each line
+        def per_edge(seq):
+            lines = [f"tvg 1 {seq.n} {seq.t_len}"]
+            for t, g in enumerate(seq.graphs):
+                lines += [f"{t} {a} {b} {float(c)!r}" for a, b, c in g.edges]
+            return "\n".join(lines) + "\n"
+
+        weights = [1.0, 0.1, 3.0, 1e-300, 5e-324, 0.0, -0.0, 1 / 3, 1.0, 0.1, 2.5e10]
+        edges = [(a, a + 1 + b, w) for a, (b, w) in enumerate(zip([0, 2, 1] * 4, weights))]
+        seq = TVGraphSequence((
+            WeightedGraph(14, edges),
+            WeightedGraph(14),
+            WeightedGraph(14, edges[::-2]),
+            WeightedGraph(14, [(0, 13, 0.5)]),
+        ))
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        assert (tmp_path / "g.tvg").read_bytes() == per_edge(seq).encode("utf-8")
+        assert fileio.read_tvg(tmp_path / "g.tvg") == seq
+        sbm, _ = small_sequence(seed=5)
+        fileio.write_tvg(tmp_path / "sbm.tvg", sbm)
+        assert (tmp_path / "sbm.tvg").read_bytes() == per_edge(sbm).encode("utf-8")
+
     def test_tvg_fractional_weights_round_trip(self, tmp_path):
         g = WeightedGraph(3, [(0, 1, 0.1), (1, 2, 1 / 3)])
         seq = TVGraphSequence((g,))
@@ -339,6 +362,27 @@ class TestCluster:
         ])
         assert res.exit_code == 1, res.output
         assert f"{key} must be" in res.output
+        assert not (out / "est_g.lbl").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--alpha", "nan"], None), (["--alpha", "inf"], None),
+         ([], '{"gamma1": Infinity}'), ([], '{"epsilon": NaN}')],
+        ids=["alpha-nan", "alpha-inf", "config-infinity", "config-nan"],
+    )
+    def test_non_finite_solver_value_exit_1(self, runner, tmp_path, flags, config):
+        seq, _ = small_sequence(seed=3)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--k", "2", "--max-iters", "50", "--seed", "1", "--out", str(out), *flags,
+        ])
+        assert res.exit_code == 1, res.output
+        assert "must be finite" in res.output
         assert not (out / "est_g.lbl").exists()
 
     def test_integral_float_config_values_are_accepted(self, runner, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tvclust.clustering import (
     LabelSequence,
     _cluster_means,
     _max_assignment,
+    _plane_sum,
     align_labels,
     align_sequence,
     kmeans,
@@ -128,16 +130,16 @@ class TestKmeans:
         """Batched cluster means are bit-identical to pts[mask].mean(axis=0), whose
         summation order differs between one column and several."""
         rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, d))
+        pts = rng.standard_normal((runs, n, d)) * 10.0 ** rng.integers(-3, 4, (runs, n, d))
         assign = rng.integers(0, k, (runs, n))
-        got = _cluster_means(pts, assign, k)
+        got = _cluster_means(pts.transpose(2, 0, 1).copy(), assign, k)
         for r in range(runs):
             for c in range(k):
                 mask = assign[r] == c
                 if mask.any():
-                    assert np.array_equal(got[r, c], pts[mask].mean(axis=0))
+                    assert np.array_equal(got[:, r, c], pts[r][mask].mean(axis=0))
                 else:
-                    assert np.isnan(got[r, c]).all()
+                    assert np.isnan(got[:, r, c]).all()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -166,6 +168,80 @@ class TestKmeans:
         want = kmeans_oracle(pts, k, seed, restarts=restarts, max_iters=max_iters)
         got = kmeans(pts, k, seed, restarts=restarts, max_iters=max_iters)
         assert np.array_equal(got, want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 4),
+        n=st.integers(1, 25),
+        d=st.integers(1, 11),
+        layout=st.sampled_from(["gaussian", "grid", "two_sites", "coincident", "scaled"]),
+        fortran=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+        restarts=st.integers(1, 59),
+        max_iters=st.sampled_from([1, 2, 300]),
+        per_batch=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_per_frame_oracle(
+        self, seed, frames, n, d, layout, fortran, k_share, restarts, max_iters, per_batch
+    ):
+        """A (frames, n, d) stack gets, frame by frame, the labels of the
+        sequential oracle, whatever the memory layout of its frames and however
+        they fall into batches."""
+        rng = np.random.default_rng(seed)
+        if layout == "gaussian":
+            stack = rng.standard_normal((frames, n, d))
+        elif layout == "grid":  # few distinct coordinates, so many duplicate points
+            stack = rng.integers(0, 3, (frames, n, d)).astype(float)
+        elif layout == "two_sites":  # fewer distinct points than clusters once k > 2
+            stack = np.zeros((frames, n, d))
+            stack[:, : n // 3] = 1.0
+        elif layout == "coincident":  # all clusters but one emptied and re-seeded
+            stack = np.broadcast_to(rng.standard_normal((frames, 1, d)), (frames, n, d)).copy()
+        else:
+            stack = rng.standard_normal((frames, n, d)) * np.resize([1e3, 1e-3, 1.0], d)
+        if fortran:
+            stack = np.asfortranarray(stack)
+        k = 1 + int(k_share * (n - 1))
+        seeds = [np.random.SeedSequence(seed, spawn_key=(f,)) for f in range(frames)]
+        budget = per_batch * restarts * n * max(k, d)
+        with mock.patch.object(tvclust.clustering, "_KMEANS_BATCH_ELEMENTS", budget):
+            got = kmeans(stack, k, seeds, restarts=restarts, max_iters=max_iters)
+        assert got.shape == (frames, n)
+        for f in range(frames):
+            # the oracle's sums follow its input's layout; kmeans sums in C order
+            want = kmeans_oracle(
+                np.ascontiguousarray(stack[f]), k, seeds[f], restarts=restarts, max_iters=max_iters
+            )
+            assert np.array_equal(got[f], want)
+
+    def test_plane_sum_follows_numpy_sum_order(self):
+        """Adding planes one at a time gives ndarray.sum(axis=-1) bit for bit,
+        across numpy's 8-way unrolled blocks and its pairwise split above 128."""
+        rng = np.random.default_rng(21)
+        for d in range(1, 301):
+            a = rng.standard_normal((3, 4, d)) * 10.0 ** rng.integers(-8, 9, (3, 4, d))
+
+            def term(j, out=None):
+                if out is None:
+                    return a[..., j].copy()
+                out[...] = a[..., j]
+                return out
+
+            assert _plane_sum(term, d).tobytes() == a.sum(axis=-1).tobytes(), d
+
+    def test_overflowing_wcss_keeps_the_first_restart(self):
+        # every restart scores inf, so none is below the first; labels still come back
+        pts = np.array([[1e200], [-1e200], [1e200]])
+        with np.errstate(over="ignore"):
+            got = kmeans(pts, 1, seed=0, restarts=3)
+        assert got.tolist() == [0, 0, 0]
+
+    def test_stack_needs_one_seed_per_frame(self):
+        with pytest.raises(ValueError, match="one per frame"):
+            kmeans(np.zeros((3, 5, 2)), 2, seed=[1, 2])
+        with pytest.raises(ValueError, match="frames, n, d"):
+            kmeans(np.zeros((2, 3, 5, 2)), 2, seed=[1, 2])
 
 
 class TestAlignLabels:
@@ -329,6 +405,22 @@ class TestTvClusterMulti:
         for k in (1, 5, 6):
             with pytest.raises(ValueError, match="k must"):
                 tv_cluster_multi(seq, k, SolverConfig(seed=0))
+
+
+def test_one_kmeans_call_per_sequence(monkeypatch):
+    """Both label paths hand kmeans the whole sequence as one stack."""
+    calls = []
+    real = tvclust.clustering.kmeans
+
+    def counting(points, *args, **kwargs):
+        calls.append(np.shape(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(tvclust.clustering, "kmeans", counting)
+    seq, _ = sbm_tv_sequence(SbmTvParams(5, 3, 4, 0.8, 0.1, 0.05, seed=30))
+    static_sc(seq, 3, seed=1)
+    tv_cluster_multi(seq, 3, SolverConfig(seed=2, max_iters=30))
+    assert calls == [(4, 15, 3), (4, 15, 2)]
 
 
 class TestContainers:

@@ -59,6 +59,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(restarts=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["alpha", "sigma", "gamma1", "gamma2", "epsilon"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
+
     def test_default_steps_admissible(self):
         for beta in (0.0, 0.5, 4.0, 120.0):
             for alpha in (0.0, 1.0, 40.0):

@@ -9,6 +9,10 @@ data can be pushed through `tvclust build-knn`.
 import argparse
 from pathlib import Path
 
+from tvclust.entry import one_blas_thread
+
+one_blas_thread()  # before numpy loads, so the printed figures do not depend on the core count
+
 from tvclust.clustering import static_sc, tv_cluster_multi
 from tvclust.experiments import cloud_to_graphs, make_articulated_cloud
 from tvclust.metrics import accuracy_report

@@ -9,6 +9,10 @@ import argparse
 import time
 from pathlib import Path
 
+from tvclust.entry import one_blas_thread
+
+one_blas_thread()  # before numpy loads, so the printed figures do not depend on the core count
+
 import numpy as np
 
 from tvclust.experiments import (

@@ -3,84 +3,69 @@
 Clusters the nodes of a registered graph sequence by solving a sphere- and
 slab-constrained cut minimization with an l1 penalty on frame-to-frame label
 vector changes, via a primal-dual splitting iteration.
+
+The package namespace is lazy (PEP 562): ``import tvclust`` loads neither numpy
+nor scipy, and each exported name imports its defining submodule on first use.
+So a command-line entry can still choose the BLAS thread count after the
+package is imported (see ``tvclust.entry``).
 """
 
-from .clustering import (
-    EmbeddingSequence,
-    LabelSequence,
-    align_labels,
-    align_sequence,
-    kmeans,
-    static_sc,
-    tv_cluster_multi,
-)
-from .generators import SbmTvParams, sbm_static, sbm_tv_sequence
-from .graphs import (
-    TVGraphSequence,
-    WeightedGraph,
-    build_laplacian,
-    max_eigenvalue,
-    quadratic_form,
-    smallest_eigenvectors,
-    temporal_diff,
-    temporal_diff_adjoint,
-)
-from .metrics import (
-    AccuracyReport,
-    accuracy_report,
-    eigengap_profile,
-    mismatch_count,
-    pair_accuracy,
-    ratiocut,
-)
-from .pointcloud import PointFrameSequence, downsample, knn_graph, load_frames
-from .prox import prox_conjugate, prox_slab, prox_sphere, soft_threshold
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    SolverError,
-    StepSizeError,
-    pds_solve,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyReport",
-    "EmbeddingSequence",
-    "LabelSequence",
-    "PointFrameSequence",
-    "SbmTvParams",
-    "SolveResult",
-    "SolverConfig",
-    "SolverError",
-    "StepSizeError",
-    "TVGraphSequence",
-    "WeightedGraph",
-    "accuracy_report",
-    "align_labels",
-    "align_sequence",
-    "build_laplacian",
-    "downsample",
-    "eigengap_profile",
-    "kmeans",
-    "knn_graph",
-    "load_frames",
-    "max_eigenvalue",
-    "mismatch_count",
-    "pair_accuracy",
-    "pds_solve",
-    "prox_conjugate",
-    "prox_slab",
-    "prox_sphere",
-    "quadratic_form",
-    "ratiocut",
-    "sbm_static",
-    "sbm_tv_sequence",
-    "smallest_eigenvectors",
-    "soft_threshold",
-    "static_sc",
-    "temporal_diff",
-    "temporal_diff_adjoint",
-    "tv_cluster_multi",
-]
+# exported name -> submodule that defines it
+_EXPORTS = {
+    "EmbeddingSequence": "clustering",
+    "LabelSequence": "clustering",
+    "align_labels": "clustering",
+    "align_sequence": "clustering",
+    "kmeans": "clustering",
+    "static_sc": "clustering",
+    "tv_cluster_multi": "clustering",
+    "SbmTvParams": "generators",
+    "sbm_static": "generators",
+    "sbm_tv_sequence": "generators",
+    "TVGraphSequence": "graphs",
+    "WeightedGraph": "graphs",
+    "build_laplacian": "graphs",
+    "max_eigenvalue": "graphs",
+    "quadratic_form": "graphs",
+    "smallest_eigenvectors": "graphs",
+    "temporal_diff": "graphs",
+    "temporal_diff_adjoint": "graphs",
+    "AccuracyReport": "metrics",
+    "accuracy_report": "metrics",
+    "eigengap_profile": "metrics",
+    "mismatch_count": "metrics",
+    "pair_accuracy": "metrics",
+    "ratiocut": "metrics",
+    "PointFrameSequence": "pointcloud",
+    "downsample": "pointcloud",
+    "knn_graph": "pointcloud",
+    "load_frames": "pointcloud",
+    "prox_conjugate": "prox",
+    "prox_slab": "prox",
+    "prox_sphere": "prox",
+    "soft_threshold": "prox",
+    "SolveResult": "solver",
+    "SolverConfig": "solver",
+    "SolverError": "solver",
+    "StepSizeError": "solver",
+    "pds_solve": "solver",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,11 @@ paths, shape mismatches), 2 runtime failure (solver breakdown and other errors).
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m tvclust.cli: set before numpy loads
+    from .entry import one_blas_thread
+
+    one_blas_thread()
+
 import dataclasses
 import functools
 import json

@@ -469,7 +469,10 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
 
     Every frame's eigensolve runs before any k-means: a LAPACK call wakes the
     BLAS worker threads, which then spin through whatever single-threaded work
-    follows it, so interleaving the two about doubles the CPU time.
+    follows it, so interleaving the two about doubles the CPU time. The CLI
+    runs on one BLAS thread, so no thread spins there at all; library callers
+    can do the same with ``tvclust.entry.one_blas_thread`` (README,
+    "Performance notes").
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -28,7 +28,7 @@ from .generators import SbmTvParams, sbm_tv_sequence
 from .graphs import build_laplacian
 from .metrics import eigengap_profile, pair_accuracy
 from .pointcloud import downsample, load_frames
-from .solver import SolverConfig, SolverError
+from .solver import SolverConfig
 
 _SBM_DEFAULTS = dataclasses.asdict(DENSE_FULL)
 _SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
@@ -43,10 +43,7 @@ def _guarded(f):
             raise
         except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc))  # exit code 1
-        except SolverError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except Exception as exc:  # pragma: no cover - unexpected failure path
+        except Exception as exc:  # SolverError and any other runtime failure
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -132,13 +129,14 @@ def cmd_generate_sbm(out_path, config_path, trials, **flags):
         click.echo(f"trial {idx:03d}: N={p.n} T={p.t_len} K={p.k} edges={edges}")
 
 
-def _graph_inputs(path) -> list[Path]:
+def _inputs(path, suffix: str) -> list[Path]:
+    """The file at `path`, or the files ending in `suffix` in that directory, sorted."""
     p = Path(path)
     if p.is_file():
         return [p]
-    files = sorted(p.glob("*.tvg"))
+    files = sorted(p.glob(f"*{suffix}"))
     if not files:
-        raise ValueError(f"no .tvg files found in {p}")
+        raise ValueError(f"no {suffix} files found in {p}")
     return files
 
 
@@ -152,7 +150,6 @@ def _graph_inputs(path) -> list[Path]:
 @click.option("--epsilon", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--max-iters", "max_iters", type=int, default=None)
-@click.option("--restarts", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -164,7 +161,7 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
     if k < 2:
         raise ValueError("k must be >= 2")
     seed = _pick(seed, config, "seed", 0)
-    inputs = _graph_inputs(graph_path)
+    inputs = _inputs(graph_path, ".tvg")
     out = _outdir(out_path)
     seeds = trial_seeds(seed, len(inputs))
     for idx, path in enumerate(inputs):
@@ -190,16 +187,6 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
         click.echo(f"{path.name}: wrote est_{path.stem}.lbl ({method}, k={k})")
 
 
-def _label_inputs(path) -> list[Path]:
-    p = Path(path)
-    if p.is_file():
-        return [p]
-    files = sorted(p.glob("*.lbl"))
-    if not files:
-        raise ValueError(f"no .lbl files found in {p}")
-    return files
-
-
 def _accuracy_svg(path, mean_curve: np.ndarray) -> None:
     """Minimal deterministic SVG line chart of accuracy against time."""
     w, h, pad = 640, 360, 45
@@ -220,9 +207,7 @@ def _accuracy_svg(path, mean_curve: np.ndarray) -> None:
         f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>',
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    fileio.write_lines(path, lines)
 
 
 @main.command("evaluate")
@@ -233,8 +218,8 @@ def _accuracy_svg(path, mean_curve: np.ndarray) -> None:
 @_guarded
 def cmd_evaluate(est_path, truth_path, out_path, svg):
     """Score estimated label files against ground truth, one column per trial."""
-    est_files = _label_inputs(est_path)
-    truth_files = _label_inputs(truth_path)
+    est_files = _inputs(est_path, ".lbl")
+    truth_files = _inputs(truth_path, ".lbl")
     if len(est_files) != len(truth_files):
         raise ValueError(
             f"got {len(est_files)} estimate files but {len(truth_files)} truth files"
@@ -258,9 +243,7 @@ def cmd_evaluate(est_path, truth_path, out_path, svg):
     for t in range(acc.shape[0]):
         cells = ",".join(repr(float(v)) for v in acc[t])
         rows.append(f"{t},{cells},{float(mean_col[t])!r}")
-    with open(out / "accuracy.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    fileio.write_lines(out / "accuracy.csv", rows)
     summary = (
         f"mean={float(acc.mean())!r} min={float(acc.min())!r} "
         f"mismatch_total={mismatch_total} trials={acc.shape[1]} frames={acc.shape[0]}"
@@ -309,9 +292,7 @@ def cmd_eigengap(graph_path, m, out_path):
     for t, g in enumerate(seq.graphs):
         gaps = eigengap_profile(build_laplacian(g), m)
         rows.append(f"{t}," + ",".join(repr(float(x)) for x in gaps))
-    with open(out / "eigengap.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    fileio.write_lines(out / "eigengap.csv", rows)
     click.echo(f"wrote eigengap.csv: T={seq.t_len} gaps={m - 1}")
 
 

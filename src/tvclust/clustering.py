@@ -10,8 +10,8 @@ import numpy as np
 from .graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
 from .solver import SolveResult, SolverConfig, pds_solve
 
-# spawn_key tags keep the warm-start / k-means streams disjoint from the solver's
-# per-restart streams, which are spawned from the bare seed inside pds_solve.
+# spawn_key tags keep the warm-start, k-means and static-sc streams drawn from
+# one seed disjoint.
 _WARM_TAG = (101,)
 _KMEANS_TAG = (102,)
 _STATIC_TAG = (103,)
@@ -143,13 +143,9 @@ def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return _plane_sum(term, X.shape[0])
 
 
-def _nearest(d2: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(runs, n) nearest center of every point, as d2.argmin(axis=1) picks it.
-
-    d2 holds (runs, k, n) squared distances to the (d, runs, k) centers C. Ties
-    go to the lower center. A NaN center makes its row of d2 NaN, and argmin
-    then picks a run's first NaN center for all of its points.
-    """
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """(runs, n) nearest center of every point, as d2.argmin(axis=1) picks it
+    from the (runs, k, n) squared distances; ties go to the lower center."""
     runs, k, n = d2.shape
     best = d2[:, 0].copy()
     nearest = np.zeros((runs, n), dtype=np.intp)
@@ -160,9 +156,6 @@ def _nearest(d2: np.ndarray, C: np.ndarray) -> np.ndarray:
         np.minimum(best, d2[:, c], out=best)
         # the last center that came strictly closer is the first of the minima
         np.maximum(nearest, np.multiply(closer, c, out=hit), out=nearest)
-    nan_centers = np.isnan(C).any(axis=0)
-    for r in np.flatnonzero(nan_centers.any(axis=1)):
-        nearest[r] = nan_centers[r].argmax()
     return nearest
 
 
@@ -198,13 +191,16 @@ def _kmeans_pp(X: np.ndarray, k: int, rngs) -> np.ndarray:
 
 
 def _reseed_empty(x: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray):
-    """Move each emptied cluster of one run, in turn, to its current worst-fit
-    point; x holds the run's (d, n) point planes, d2 its (k, n) squared
+    """Move each emptied cluster of one run, in turn, to the current worst-fit
+    point of the clusters with at least two members, so no cluster is left
+    empty; x holds the run's (d, n) point planes, d2 its (k, n) squared
     distances and centers its (d, k) center planes, all updated in place."""
-    n = x.shape[1]
-    for c in range(centers.shape[1]):
+    k, n = d2.shape
+    for c in range(k):
         if not np.any(assign == c):
-            far = int(d2[assign, np.arange(n)].argmax())
+            fit = d2[assign, np.arange(n)]
+            fit[np.bincount(assign, minlength=k)[assign] < 2] = -np.inf
+            far = int(fit.argmax())
             centers[:, c] = x[:, far]
             assign[far] = c
             d2[c] = _sq_dists(x[:, None], centers[:, None, c : c + 1])[0, 0]
@@ -256,7 +252,7 @@ def _lloyd(X: np.ndarray, C: np.ndarray, max_iters: int) -> np.ndarray:
     prev = None
     for _ in range(max_iters):
         d2 = _sq_dists(X, C)
-        new = _nearest(d2, C)
+        new = _nearest(d2)
         counts = np.bincount(_bins(new, k), minlength=new.shape[0] * k).reshape(-1, k)
         for i in np.flatnonzero((counts == 0).any(axis=1)):
             _reseed_empty(X[:, i], d2[i], new[i], C[:, i])

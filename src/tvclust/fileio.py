@@ -22,7 +22,8 @@ FORMAT_VERSION = 1
 _EDGE_DTYPE = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def _write_text(path, lines) -> None:
+def write_lines(path, lines) -> None:
+    """Write the lines as UTF-8, each ended by LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -38,7 +39,7 @@ def write_tvg(path, seq: TVGraphSequence) -> None:
         lines.extend(
             f"{t} {a} {b} {text[c]}" for a, b, c in zip(i.tolist(), j.tolist(), which.tolist())
         )
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_tvg(path) -> TVGraphSequence:
@@ -74,7 +75,7 @@ def read_tvg(path) -> TVGraphSequence:
 def write_labels(path, ls: LabelSequence) -> None:
     lines = [f"{LBL_MAGIC} {FORMAT_VERSION} {ls.n} {ls.t_len} {ls.k}"]
     lines.extend(" ".join(str(x) for x in row.tolist()) for row in ls.labels)
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_labels(path) -> LabelSequence:

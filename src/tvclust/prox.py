@@ -5,22 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def prox_sphere_frames(Z: np.ndarray, degenerate_rng=None) -> np.ndarray:
+def prox_sphere_frames(Z: np.ndarray) -> np.ndarray:
     """Row-wise radial scaling onto the sphere of squared radius n (the row length).
 
-    A zero row has no nearest sphere point; with `degenerate_rng` it is replaced
-    by seeded Gaussian noise of norm 1e-8 before scaling, otherwise it is an error.
+    A zero row has no nearest sphere point and is an error.
     """
     Z = np.asarray(Z, dtype=float)
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0.0):
-        if degenerate_rng is None:
-            raise ValueError("prox_sphere is undefined at the zero vector")
-        Z = Z.copy()
-        for t in np.nonzero(norms == 0.0)[0]:
-            noise = degenerate_rng.standard_normal(Z.shape[1])
-            Z[t] = noise * (1e-8 / np.linalg.norm(noise))
-        norms = np.linalg.norm(Z, axis=1)
+        raise ValueError("prox_sphere is undefined at the zero vector")
     return Z * (np.sqrt(Z.shape[1]) / norms)[:, None]
 
 

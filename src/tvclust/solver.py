@@ -30,12 +30,17 @@ class StepSizeError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when the iteration produces non-finite values."""
+    """Raised when the iteration produces non-finite values or an all-zero frame."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solve parameters; gamma1/gamma2/epsilon default from the data at solve time."""
+    """Solve parameters; gamma1/gamma2/epsilon default from the data at solve time.
+
+    The solve itself draws no random numbers. `seed` seeds only the drivers
+    around it: the fallback of the warm start and the k-means on the cluster
+    vectors in `tv_cluster_multi`.
+    """
 
     alpha: float = 1.0
     gamma1: float | None = None
@@ -43,7 +48,6 @@ class SolverConfig:
     epsilon: float | None = None
     sigma: float = 1e-5
     max_iters: int = 20000
-    restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -64,24 +68,20 @@ class SolverConfig:
             raise ValueError("sigma must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Returned primal iterate, its dual variables, its objective, and iteration diagnostics.
+    """Returned primal iterate, its objective, and iteration diagnostics.
 
-    `c`, `d1` and `d2` are read-only (t_len, n) arrays; `objective` is the objective
-    of `c`, while `objective_trace` holds the objectives of the iterates visited.
+    `c` is a read-only (t_len, n) array; `objective` is the objective of `c`,
+    while `objective_trace` holds the objectives of the iterates visited.
     `beta` is the largest-eigenvalue estimate the step sizes were checked against;
     `beta_converged` is False when its power iteration hit its cap, in which case
     beta may underestimate the bound.
     """
 
     c: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
     iters: int
     converged: bool
     objective: float
@@ -90,10 +90,9 @@ class SolveResult:
     beta_converged: bool
 
     def __post_init__(self):
-        for name in ("c", "d1", "d2"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        c = np.array(self.c, dtype=float)
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
 
 def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
@@ -173,7 +172,7 @@ def _polish(C, Lblock, V, slabs, eps, alpha, rounds: int = 3):
     return out, _objective(out, LC, alpha)
 
 
-def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_rng):
+def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
     """The splitting iteration from C0, on work buffers allocated once.
 
     Every array operation is the one the operator definitions (temporal_diff and
@@ -185,7 +184,7 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb
     C, Cn = C0.copy(), np.empty_like(C0)
     D1, D1n = np.zeros_like(C0), np.empty_like(C0)
     D2, D2n = np.zeros_like(C0), np.empty_like(C0)
-    best_C, best_D1, best_D2 = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
+    best_C = np.empty_like(C0)
     step, chat, work = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
     diff = np.zeros_like(C0)  # temporal differences; row 0 stays zero
     diff_rest = diff[1:]
@@ -207,8 +206,6 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb
         trace[it - 1] = obj
         if best_obj is None or obj < best_obj:
             np.copyto(best_C, C)
-            np.copyto(best_D1, D1)
-            np.copyto(best_D2, D2)
             best_obj = obj
 
         # primal: C - g1 * (LC + D1 + temporal_diff_adjoint(D2)), scaled onto the sphere
@@ -222,11 +219,10 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb
         np.multiply(work, work, out=step)
         np.add.reduce(step, axis=1, out=scale)
         np.sqrt(scale, out=scale)
-        if scale.all():
-            np.divide(sqrt_n, scale, out=scale)
-            np.multiply(work, scale[:, None], out=Cn)
-        else:
-            Cn[...] = prox_sphere_frames(work, degenerate_rng=perturb_rng)
+        if not scale.all():
+            raise SolverError(f"all-zero frame at iteration {it}")
+        np.divide(sqrt_n, scale, out=scale)
+        np.multiply(work, scale[:, None], out=Cn)
         np.multiply(Cn, 2.0, out=chat)
         np.subtract(chat, C, out=chat)
 
@@ -275,19 +271,19 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0, perturb
             break
     obj = _objective(C, LC, alpha)
     trace[it] = obj
+    trace = trace[: it + 1].copy()
     if converged:
         # a settled run ends at a feasible fixed point; report the final iterate
-        return C, D1, D2, obj, it, converged, trace[: it + 1].copy()
+        return C, obj, it, converged, trace
     if obj < best_obj:
-        best_C, best_D1, best_D2 = C, D1, D2
+        best_C = C
+    # iterates are ranked before polishing, which can lift the best one above the
+    # start, so the polished start competes too
     Cb, polished_obj = _polish(best_C, Lblock, V, slabs, eps, alpha)
-    return Cb, best_D1, best_D2, polished_obj, it, converged, trace[: it + 1].copy()
-
-
-def _random_init(rng, t_len, n, slabs):
-    G = rng.standard_normal((t_len, n))
-    G = _project_all_slabs(G, slabs, 0.0)
-    return prox_sphere_frames(G, degenerate_rng=rng)
+    Cs, start_obj = _polish(C0, Lblock, V, slabs, eps, alpha)
+    if start_obj < polished_obj:
+        Cb, polished_obj = Cs, start_obj
+    return Cb, polished_obj, it, converged, trace
 
 
 def pds_solve(
@@ -296,16 +292,19 @@ def pds_solve(
     cfg: SolverConfig,
     init: np.ndarray,
 ) -> SolveResult:
-    """Run the splitting iteration, returning the best-objective result over restarts.
+    """Run the splitting iteration once from `init`.
 
     A run stops once the relative changes of the primal and dual iterates are both
     <= cfg.sigma and the iterate satisfies all frame constraints within tolerance,
-    or at cfg.max_iters. The `converged` flag reports whether the former happened;
-    a capped run returns its best-objective iterate re-projected onto the
-    constraints instead of the final one. `directions` is the (t_len, n_dirs, n)
+    or at cfg.max_iters. The `converged` flag reports whether the former happened.
+    A settled run returns its final iterate. A capped run re-projects its
+    best-objective iterate and its start onto the constraints and returns the
+    one of lower objective, the re-projected iterate when they tie, so it never
+    ends above its re-projected start. `directions` is the (t_len, n_dirs, n)
     array of nonzero constraint directions, used as given, so an all-ones
-    direction bounds the plain coordinate sum. `init` is the (t_len, n) start of
-    the first restart, finite and with no all-zero frame.
+    direction bounds the plain coordinate sum. `init` is the (t_len, n) start,
+    finite and with no all-zero frame. SolverError reports a non-finite iterate
+    or an all-zero frame before the sphere scaling, naming the iteration.
     """
     import scipy.sparse
 
@@ -344,27 +343,12 @@ def pds_solve(
         for l in range(V.shape[1])
     ]
 
-    best = None
-    for r in range(cfg.restarts):
-        init_ss, perturb_ss = np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(r,)
-        ).spawn(2)
-        perturb_rng = np.random.default_rng(perturb_ss)
-        if r == 0:
-            C0 = np.array(init, dtype=float)
-        else:
-            C0 = _random_init(np.random.default_rng(init_ss), t_len, n, slabs)
-        run = _iterate(
-            Lblock, V, slabs, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0, perturb_rng
-        )
-        if best is None or run[3] < best[3]:
-            best = run
-
-    C, D1, D2, obj, iters, converged, trace = best
+    C0 = np.asarray(init, dtype=float)
+    C, obj, iters, converged, trace = _iterate(
+        Lblock, V, slabs, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0
+    )
     return SolveResult(
         c=C,
-        d1=D1,
-        d2=D2,
         iters=iters,
         converged=converged,
         objective=obj,

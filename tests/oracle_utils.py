@@ -1,7 +1,5 @@
 """Independent numeric oracles shared by the unit and acceptance suites."""
 
-import warnings
-
 import numpy as np
 import scipy.optimize
 
@@ -100,7 +98,9 @@ def _lloyd_oracle(pts, k, rng, max_iters):
         for c in range(k):
             if not np.any(new == c):
                 # re-seed an emptied cluster at the current worst-fit point
-                far = int(d2[np.arange(n), new].argmax())
+                # of a cluster that keeps a member
+                movable = [i for i in range(n) if np.sum(new == new[i]) >= 2]
+                far = max(movable, key=lambda i: d2[i, new[i]])
                 centers[c] = pts[far]
                 new[far] = c
                 d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
@@ -108,9 +108,7 @@ def _lloyd_oracle(pts, k, rng, max_iters):
             break
         assign = new
         for c in range(k):
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # mean of an emptied cluster
-                centers[c] = pts[assign == c].mean(axis=0)
+            centers[c] = pts[assign == c].mean(axis=0)
     wcss = 0.0
     for c in range(k):
         mask = assign == c
@@ -149,9 +147,9 @@ def _project_slabs_oracle(U, V, Vsq, eps):
     return out
 
 
-def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0, perturb_rng):
+def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     """The splitting iteration composed from the operator definitions, allocating
-    every intermediate, as the solver first wrote it. Returns (C, D1, D2, objective,
+    every intermediate, as the solver first wrote it. Returns (C, objective,
     iterations, converged, objective trace) like tvclust.solver._iterate."""
     from tvclust.graphs import temporal_diff, temporal_diff_adjoint
     from tvclust.prox import prox_conjugate, prox_sphere_frames, soft_threshold
@@ -165,7 +163,7 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0, pert
     C = C0.copy()
     D1 = np.zeros_like(C)
     D2 = np.zeros_like(C)
-    best = None
+    best = None  # (C, objective)
     trace = np.empty(max_iters + 1)
     LC = (Lblock @ C.ravel()).reshape(t_len, n)
     converged = False
@@ -173,10 +171,12 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0, pert
     for it in range(1, max_iters + 1):
         obj = objective(C, LC)
         trace[it - 1] = obj
-        if best is None or obj < best[3]:
-            best = (C, D1, D2, obj)
+        if best is None or obj < best[1]:
+            best = (C, obj)
         pre = C - g1 * (LC + D1 + temporal_diff_adjoint(D2))
-        Cn = prox_sphere_frames(pre, degenerate_rng=perturb_rng)
+        if np.any(np.linalg.norm(pre, axis=1) == 0.0):
+            raise SolverError(f"all-zero frame at iteration {it}")
+        Cn = prox_sphere_frames(pre)
         Chat = 2.0 * Cn - C
         D1n = prox_conjugate(
             lambda y, tau: _project_slabs_oracle(y, V, Vsq, eps), g2, D1 + g2 * Chat
@@ -201,11 +201,15 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0, pert
     obj = objective(C, LC)
     trace[it] = obj
     if converged:
-        return C, D1, D2, obj, it, converged, trace[: it + 1].copy()
-    if best is None or obj < best[3]:
-        best = (C, D1, D2, obj)
-    out = best[0]
-    for _ in range(3):
-        out = prox_sphere_frames(_project_slabs_oracle(out, V, Vsq, eps))
-    LC = (Lblock @ out.ravel()).reshape(t_len, n)
-    return out, best[1], best[2], objective(out, LC), it, converged, trace[: it + 1].copy()
+        return C, obj, it, converged, trace[: it + 1].copy()
+    if best is None or obj < best[1]:
+        best = (C, obj)
+
+    def polished(out):
+        for _ in range(3):
+            out = prox_sphere_frames(_project_slabs_oracle(out, V, Vsq, eps))
+        return out, objective(out, (Lblock @ out.ravel()).reshape(t_len, n))
+
+    # the polished start wins only when strictly lower
+    out, out_obj = min(polished(best[0]), polished(C0), key=lambda p: p[1])
+    return out, out_obj, it, converged, trace[: it + 1].copy()

@@ -20,7 +20,7 @@ from tvclust.graphs import (
     quadratic_form,
     temporal_diff,
 )
-from tvclust.solver import SolverConfig
+from tvclust.solver import SolverConfig, SolverError
 
 
 @pytest.fixture
@@ -348,7 +348,7 @@ class TestCluster:
     @pytest.mark.parametrize(
         "config, key",
         [({"alpha": "abc"}, "alpha"), ({"max_iters": 2.7}, "max_iters"),
-         ({"restarts": True}, "restarts"), ({"gamma1": [0.1]}, "gamma1"), ({"k": 2.5}, "k")],
+         ({"max_iters": True}, "max_iters"), ({"gamma1": [0.1]}, "gamma1"), ({"k": 2.5}, "k")],
     )
     def test_wrong_typed_config_value_exit_1(self, runner, tmp_path, config, key):
         seq, _ = small_sequence(seed=3)
@@ -399,23 +399,41 @@ class TestCluster:
         report = json.loads((out / "report_g.json").read_text())
         assert report["k"] == 2 and max(report["iterations"]) <= 30
 
+    def test_solver_error_exit_2(self, runner, tmp_path, monkeypatch):
+        def breakdown(*args):
+            raise SolverError("all-zero frame at iteration 3")
+
+        monkeypatch.setattr("tvclust.cli.tv_cluster_multi", breakdown)
+        seq, _ = small_sequence(seed=3)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert res.exit_code == 2
+        assert "error: all-zero frame at iteration 3" in res.output
+        assert not (out / "est_g.lbl").exists()
+
     @pytest.mark.parametrize(
         "k, params, lbl_sha, report_sha",
         [
             (2, SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4),
-             "1092a1ea90212e30d7b8cbdfc1ef5a79495a25a89d484f26c8df30d5238a16f1",
-             "65cb6bbd237017f61f3682471a8ee9359cb1b9db02fa5667eedddcbcd079d365"),
+             "5c4ed4a140d5ea9e435ede84c8ec46d5b86d94fd427fd78e7b20006e753f9213",
+             "2cf3a72c2530a05680a79266720c3aba2eed1dfcbdb449284c5ef7a51f769a39"),
             (3, SbmTvParams(8, 3, 5, 0.7, 0.1, 0.05, seed=6),
-             "866c3a33cd16dd297aaa5149a5c20ab09f9eda927fa69d7194e451bd415146be",
-             "e8a03c3deff772a7943f60088be8aec0ada0d1584b909eb4ce2f8e482fbb5b46"),
+             "3949ff3ddee42b38d8e8f254d7dda04cb2fd95758496a8865bb7859d1bcabbc7",
+             "115bf995f0b6df305b88a3f1fa0d2819b59ef650cca67fe0b84834c95b9e8130"),
         ],
         ids=["k2", "k3"],
     )
     def test_tv_pds_output_is_pinned(self, runner, tmp_path, k, params, lbl_sha, report_sha):
         """SHA-256 of the label file and of the run report without wall_time_s.
 
-        The digests were captured when k = 2 still had its own two-way driver, so
-        they pin its output to that of the driver every k now shares. Like
+        Both cases run capped solves, and the digests were recaptured when a
+        capped solve began to return its re-projected start whenever that scores
+        below its re-projected best iterate (k = 2 at its one level, k = 3 at its
+        second). Like
         tests/test_solver.py::TestBitIdentity they hold for one numpy, scipy and
         OpenBLAS build.
         """

@@ -118,6 +118,15 @@ class TestKmeans:
             got = kmeans(pts, k, seed=3, restarts=4)
             assert np.array_equal(got, kmeans_oracle(pts, k, seed=3, restarts=4))
 
+    def test_reseeding_on_identical_points_does_not_cycle(self):
+        # re-seeding takes points only from clusters that keep a member, so no
+        # cluster is emptied again and the labels do not depend on the cap's parity
+        pts = np.zeros((7, 2))
+        got = [kmeans(pts, 3, seed=3, restarts=4, max_iters=m) for m in (50, 51, 300, 301)]
+        for labels in got:
+            assert np.array_equal(labels, got[0])
+        assert np.bincount(got[0], minlength=3).min() >= 1
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         runs=st.integers(1, 4),

@@ -159,32 +159,32 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _kmeans_pp(X: np.ndarray, k: int, rngs) -> np.ndarray:
-    """(d, runs, k) k-means++ starting centers, one run per generator, from the
+def _kmeans_pp(X: np.ndarray, k: int, streams: _Streams) -> np.ndarray:
+    """(d, runs, k) k-means++ starting centers, one run per stream, from the
     (d, runs, n) coordinate planes of each run's points.
 
-    Each run draws from its own generator as a lone run would: its first center
-    uniformly, each later one with probability proportional to the squared
-    distance to the nearest center so far, or uniformly once that is zero.
+    Each run draws from its stream exactly what a lone run draws from its own
+    generator: its first center uniformly, each later one with probability
+    proportional to the squared distance to the nearest center so far, or
+    uniformly once that is zero.
     """
     _, runs, n = X.shape
     rows = np.arange(runs)
     C = np.empty((X.shape[0], runs, k))
-    C[:, :, 0] = X[:, rows, [int(rng.integers(n)) for rng in rngs]]
+    C[:, :, 0] = X[:, rows, streams.integers(n, rows)]
     d2 = _sq_dists(X, C[:, :, :1])[:, 0]
     for c in range(1, k):
         totals = d2.sum(axis=1)
-        spread = (totals > 0.0).tolist()
+        spread = totals > 0.0
         # the inverse-CDF draw Generator.choice(n, p=p[r]) makes: the number of
         # entries of the nondecreasing cdf[r] that are <= u
         with np.errstate(invalid="ignore"):
             cdf = np.cumsum(d2 / totals[:, None], axis=1)
             cdf /= cdf[:, -1:]
-        u = np.array([rng.random() if s else np.nan for rng, s in zip(rngs, spread)])
+        u = np.full(runs, np.nan)
+        u[spread] = streams.random(rows[spread])
         idx = (cdf <= u[:, None]).sum(axis=1)
-        for r, s in enumerate(spread):
-            if not s:
-                idx[r] = rngs[r].integers(n)
+        idx[~spread] = streams.integers(n, rows[~spread])
         C[:, :, c] = X[:, rows, idx]
         np.minimum(d2, _sq_dists(X, C[:, :, c : c + 1])[:, 0], out=d2)
     return C
@@ -314,21 +314,155 @@ def _best_restarts(X: np.ndarray, assigns: np.ndarray, k: int, restarts: int) ->
     return assigns[best]
 
 
-def _restart_rngs(seed, restarts: int) -> list:
-    """One generator per restart, seeded by the children root.spawn(restarts)
-    gives a fresh root, without advancing root."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # Generator(PCG64(.)) is what default_rng builds, minus its argument dispatch
-    return [
-        np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(
-                    root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
-                )
-            )
-        )
-        for i in range(restarts)
-    ]
+# SeedSequence's hash constants, as numpy defines them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _hashmix(value, h: int | np.ndarray, mult: int = _MULT_A):
+    """SeedSequence's hashmix of value under hash constant h, with the next
+    constant; value and h are ints or uint32 arrays."""
+    nxt = h * mult & _M32
+    value = (value ^ h) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _words(x) -> list[int]:
+    """The uint32 words SeedSequence reads from entropy or a spawn key: the
+    little-endian words of each int in turn, one word for 0."""
+    if isinstance(x, str):
+        return _words(int(x, 16) if x.startswith("0x") else int(x))
+    if not isinstance(x, (int, np.integer)):
+        return [w for v in x for w in _words(v)]
+    x = int(x)
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _mixed_prefix(root) -> tuple[list[int], list[int]]:
+    """Pool words 0..7 of root's children before the last entropy word, the
+    child's index, is mixed in, and the hash constant that mixes it into each.
+
+    A child's entropy is root's run entropy, zero-padded to the pool size, then
+    root's spawn key and the index; only the index differs between children.
+    Pool word j of the child feeds word j of its 8-word generate_state.
+    """
+    size = root.pool_size
+    run = _words(root.entropy)
+    words = run + [0] * (size - len(run)) + _words(root.spawn_key)
+    h = _INIT_A
+    pool = []
+    for w in words[:size]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[size:]:
+        for dst in range(size):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return (
+        [pool[j % size] for j in range(8)],
+        [h * pow(_MULT_A, j % size, 1 << 32) & _M32 for j in range(8)],
+    )
+
+
+# PCG64's 128-bit multiplier as (high, low) uint64 words
+_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+# generate_state's hash constant before each of its 8 output words
+_STATE_CONSTS = np.array(
+    [_INIT_B * pow(_MULT_B, j, 1 << 32) & _M32 for j in range(8)], dtype=np.uint32
+)[:, None]
+
+
+class _Streams:
+    """The PCG64 stream of every restart of a k-means batch, drawn for many
+    restarts at once.
+
+    Restart i of a frame seeded by root draws exactly what
+    ``Generator(PCG64(SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
+    pool_size=root.pool_size)))`` draws through ``integers(n)`` (n <= 2**32) and
+    ``random()``. Each 128-bit state is a (high, low) pair of uint64 arrays, one
+    entry a run; uint64 array arithmetic wraps modulo 2**64.
+    """
+
+    def __init__(self, roots: list, restarts: int):
+        pre, consts = zip(*(_mixed_prefix(root) for root in roots))
+        pre = np.repeat(np.array(pre, dtype=np.uint32).T, restarts, axis=1)
+        consts = np.repeat(np.array(consts, dtype=np.uint32).T, restarts, axis=1)
+        index = np.tile(np.arange(restarts, dtype=np.uint32), len(roots))
+        # mix the index into the pool, then generate_state(4, uint64)
+        words, _ = _hashmix(_mix(pre, _hashmix(index, consts)[0]), _STATE_CONSTS, _MULT_B)
+        w = words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
+        # PCG64 seeding: seed = (w0, w1) and increment = (w2, w3), high word first
+        self.inc_hi = w[2] << 1 | w[3] >> 63
+        self.inc_lo = w[3] << 1 | 1
+        lo = self.inc_lo + w[1]
+        hi = self.inc_hi + w[0] + (lo < w[1])
+        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
+        # the high half of a 64-bit draw, held for the next 32-bit draw
+        self.held = np.zeros_like(lo)
+        self.has_held = np.zeros(lo.shape, dtype=bool)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        """state * multiplier + increment, modulo 2**128."""
+        # the high word of lo * _MULT_LO, from products of 32-bit halves
+        a0, a1, b0, b1 = lo & _M32, lo >> 32, _MULT_LO & _M32, _MULT_LO >> 32
+        p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        new_lo = lo * _MULT_LO + inc_lo
+        new_hi = carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
+        return new_hi, new_lo
+
+    def _next64(self, rows: np.ndarray) -> np.ndarray:
+        hi, lo = self._step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> 58
+        return x >> rot | x << (-rot & 63)
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's held half if it holds one, else the low half of a fresh
+        64-bit draw, holding its high half."""
+        held = self.has_held[rows]
+        out = self.held[rows]
+        x = self._next64(rows[~held])
+        out[~held] = x & _M32
+        self.held[rows[~held]] = x >> 32
+        self.has_held[rows] = ~held
+        return out
+
+    def integers(self, n: int, rows: np.ndarray) -> np.ndarray:
+        """Generator.integers(n) of each row: Lemire's bounded draw on 32 bits."""
+        out = np.zeros(rows.size, dtype=np.intp)
+        if n == 1:
+            return out
+        floor = (2**32 - n) % n
+        todo = np.arange(rows.size)
+        while todo.size:
+            m = self._next32(rows[todo]) * np.uint64(n)
+            ok = (m & _M32) >= floor
+            out[todo[ok]] = m[ok] >> 32
+            todo = todo[~ok]
+        return out
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """Generator.random() of each row; a held half stays held."""
+        return (self._next64(rows) >> 11) * 2.0**-53
 
 
 def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
@@ -339,6 +473,12 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     giving (frames, n) labels. Each frame gets the labels it would get on its
     own, ties in WCSS going to the earliest restart. The restarts of many
     frames run together in one Lloyd loop, in batches of bounded size.
+
+    Restart i of a frame whose seed is the SeedSequence `root` (any other
+    seed is read as SeedSequence(seed)) draws exactly what its own generator
+    ``default_rng(SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
+    pool_size=root.pool_size))`` would draw, the i-th child that spawn gives a
+    fresh root. No generator is built, and root is not advanced.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -362,6 +502,9 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
+    roots = [
+        s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in seeds
+    ]
     # sums over coordinates follow the C layout whatever the layout of points
     pts = np.ascontiguousarray(pts)
     per_batch = max(1, _KMEANS_BATCH_ELEMENTS // (restarts * n * max(k, d)))
@@ -369,8 +512,8 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     for lo in range(0, frames, per_batch):
         hi = min(lo + per_batch, frames)
         X = np.repeat(pts[lo:hi].transpose(2, 0, 1), restarts, axis=1)
-        rngs = [rng for s in seeds[lo:hi] for rng in _restart_rngs(s, restarts)]
-        assigns = _lloyd(X, _kmeans_pp(X, k, rngs), max_iters)
+        streams = _Streams(roots[lo:hi], restarts)
+        assigns = _lloyd(X, _kmeans_pp(X, k, streams), max_iters)
         labels[lo:hi] = _best_restarts(X, assigns, k, restarts)
     # a copy, so that one frame's labels own their memory as a stack's do
     return labels if stacked else labels[0].copy()

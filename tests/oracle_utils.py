@@ -127,7 +127,10 @@ def kmeans_oracle(points, k, seed, restarts=50, max_iters=300):
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best_assign = None
     best_wcss = np.inf
-    for child in root.spawn(restarts):
+    for i in range(restarts):
+        child = np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+        )
         assign, wcss = _lloyd_oracle(pts, k, np.random.default_rng(child), max_iters)
         if wcss < best_wcss:
             best_wcss = wcss

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tvclust.clustering
@@ -11,6 +11,7 @@ from oracle_utils import align_labels_oracle, kmeans_oracle, max_assignment_orac
 from tvclust.clustering import (
     _STATIC_TAG,
     LabelSequence,
+    _Streams,
     _cluster_means,
     _max_assignment,
     _plane_sum,
@@ -151,7 +152,7 @@ class TestKmeans:
                     assert np.isnan(got[:, r, c]).all()
 
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**128 - 1),
         n=st.integers(1, 40),
         d=st.integers(1, 9),
         layout=st.sampled_from(["gaussian", "grid", "two_sites", "scaled"]),
@@ -179,7 +180,7 @@ class TestKmeans:
         assert np.array_equal(got, want)
 
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**128 - 1),
         frames=st.integers(1, 4),
         n=st.integers(1, 25),
         d=st.integers(1, 11),
@@ -246,11 +247,102 @@ class TestKmeans:
             got = kmeans(pts, 1, seed=0, restarts=3)
         assert got.tolist() == [0, 0, 0]
 
+    def test_builds_no_numpy_generator(self, monkeypatch):
+        """A stack's restarts draw from _Streams: building a Generator, a PCG64
+        or a SeedSequence inside the call fails it."""
+        stack = np.random.default_rng(40).standard_normal((3, 20, 2))
+        seeds = np.random.SeedSequence(41).spawn(3)
+        want = [kmeans_oracle(stack[f], 3, seeds[f], restarts=10) for f in range(3)]
+
+        class Forbidden(type):
+            def __instancecheck__(cls, obj):
+                return isinstance(obj, cls.real)
+
+            def __call__(cls, *args, **kwargs):
+                raise AssertionError(f"kmeans built a {cls.__name__}")
+
+        for name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+            real = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name, Forbidden(name, (), {"real": real}))
+        got = kmeans(stack, 3, seeds, restarts=10)
+        monkeypatch.undo()
+        assert np.array_equal(got, np.array(want))
+
     def test_stack_needs_one_seed_per_frame(self):
         with pytest.raises(ValueError, match="one per frame"):
             kmeans(np.zeros((3, 5, 2)), 2, seed=[1, 2])
         with pytest.raises(ValueError, match="frames, n, d"):
             kmeans(np.zeros((2, 3, 5, 2)), 2, seed=[1, 2])
+
+
+@st.composite
+def seed_roots(draw):
+    """An int seed, or a SeedSequence with list entropy and a long spawn key."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**128 - 1))
+    return np.random.SeedSequence(
+        draw(st.lists(st.integers(0, 2**96), min_size=1, max_size=4)),
+        spawn_key=tuple(draw(st.lists(st.integers(0, 2**70), max_size=3))),
+        pool_size=draw(st.sampled_from([4, 8])),
+    )
+
+
+class TestStreams:
+    @given(
+        seeds=st.lists(seed_roots(), min_size=1, max_size=3),
+        restarts=st.integers(1, 60),
+        script=st.lists(
+            st.tuples(st.sampled_from([None, 1, 2, 90, 2**31 + 1]), st.integers(0, 2**32 - 1)),
+            max_size=12,
+        ),
+    )
+    # 0 is one entropy word and 2**32 two; a pool of 16 words is wider than generate_state's 8
+    @example(
+        seeds=[0, 2**32, 2**128 - 1,
+               np.random.SeedSequence([0, 2**40], spawn_key=(2**33,), pool_size=16)],
+        restarts=3,
+        script=[(None, 0), (2**31 + 1, 1)],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_draws_what_numpy_generators_draw(self, seeds, restarts, script):
+        """Every restart's integers(n) and random() equal, draw for draw, those of
+        the numpy generator its SeedSequence child seeds, whichever restarts draw.
+
+        integers(1) draws nothing; 2**31 + 1 rejects about half of its first
+        draws, so Lemire's loop and the held 32-bit half both run."""
+        roots = [np.random.SeedSequence(s) if isinstance(s, int) else s for s in seeds]
+        children = [
+            np.random.SeedSequence(
+                root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+            )
+            for root in roots
+            for i in range(restarts)
+        ]
+        # the children are those that spawn gives a fresh copy of each root
+        spawned = [
+            c
+            for root in roots
+            for c in np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size
+            ).spawn(restarts)
+        ]
+        assert [(c.entropy, c.spawn_key, c.pool_size) for c in spawned] == [
+            (c.entropy, c.spawn_key, c.pool_size) for c in children
+        ]
+        gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
+        streams = _Streams(roots, restarts)
+        for n, pick in script:
+            rows = np.flatnonzero(np.random.default_rng(pick).random(len(gens)) < 0.7)
+            if n is None:
+                got = streams.random(rows)
+                want = [gens[r].random() for r in rows]
+            else:
+                got = streams.integers(n, rows)
+                want = [gens[r].integers(n) for r in rows]
+            assert got.tolist() == want
+        # and every stream is left where its generator is
+        rows = np.arange(len(gens))
+        assert streams.integers(2**31 + 1, rows).tolist() == [g.integers(2**31 + 1) for g in gens]
 
 
 class TestAlignLabels:
@@ -303,7 +395,7 @@ class TestAlignLabels:
         assert _max_assignment(table) == max_assignment_oracle(table)
 
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**128 - 1),
         n=st.integers(1, 40),
         k=st.integers(1, 8),
     )

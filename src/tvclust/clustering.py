@@ -94,53 +94,20 @@ class EmbeddingSequence:
 _KMEANS_BATCH_ELEMENTS = 1 << 16
 
 
-def _plane_sum(term, d: int, start: int = 0) -> np.ndarray:
-    """term(start) + ... + term(start + d - 1), added in the order in which
-    ndarray.sum(axis=-1) adds the d entries of a C-contiguous last axis.
-
-    That order is numpy's pairwise summation: fewer than 8 terms left to right;
-    up to 128 terms as 8 interleaved partial sums, combined pairwise, then the
-    rest in order; more terms as two halves, the first a multiple of 8 long.
-    numpy starts from 0.0, which differs from starting at the first term only
-    for a -0.0 total, and sums of squares never give one. term(j, out) returns
-    the j-th term, written to `out` when that is given.
-    """
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        acc = _plane_sum(term, half, start)
-        acc += _plane_sum(term, d - half, start + half)
-        return acc
-    if d < 8:
-        acc, rest = term(start), range(start + 1, start + d)
-    else:
-        part = [term(start + j) for j in range(8)]
-        tail = start + d - d % 8
-        for i in range(start + 8, tail, 8):
-            for j in range(8):
-                part[j] += term(i + j)
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            part[a] += part[b]
-        acc, rest = part[0], range(tail, start + d)
-    buf = None
-    for j in rest:
-        buf = term(j, buf)
-        acc += buf
-    return acc
-
-
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(runs, m, n) squared distances from each run's m centers to its n points.
 
     X holds the (d, runs, n) coordinate planes of each run's points and C the
-    (d, runs, m) planes of its centers. The d squared differences add up as
-    ((pts - center) ** 2).sum(axis=-1) adds them, one plane at a time.
+    (d, runs, m) planes of its centers. The d squared differences are added in
+    coordinate order, one plane at a time.
     """
-
-    def term(j, out=None):
-        out = np.subtract(X[j][:, None, :], C[j][:, :, None], out=out)
-        return np.square(out, out=out)
-
-    return _plane_sum(term, X.shape[0])
+    acc = np.subtract(X[0][:, None, :], C[0][:, :, None])
+    np.square(acc, out=acc)
+    buf = None
+    for j in range(1, X.shape[0]):
+        buf = np.subtract(X[j][:, None, :], C[j][:, :, None], out=buf)
+        acc += np.square(buf, out=buf)
+    return acc
 
 
 def _nearest(d2: np.ndarray) -> np.ndarray:
@@ -159,32 +126,30 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _kmeans_pp(X: np.ndarray, k: int, streams: _Streams) -> np.ndarray:
-    """(d, runs, k) k-means++ starting centers, one run per stream, from the
-    (d, runs, n) coordinate planes of each run's points.
+def _kmeans_pp(X: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(d, runs, k) k-means++ starting centers from the (d, runs, n) coordinate
+    planes of each run's points.
 
-    Each run draws from its stream exactly what a lone run draws from its own
-    generator: its first center uniformly, each later one with probability
-    proportional to the squared distance to the nearest center so far, or
-    uniformly once that is zero.
+    Run r starts at point first[r]. Its c-th later center is the point at which
+    the uniform u[c - 1, r] falls in the cumulative distribution of the squared
+    distances to the nearest center so far, or point floor(u[c - 1, r] * n)
+    when all of those distances are zero.
     """
     _, runs, n = X.shape
     rows = np.arange(runs)
-    C = np.empty((X.shape[0], runs, k))
-    C[:, :, 0] = X[:, rows, streams.integers(n, rows)]
+    C = np.empty((X.shape[0], runs, u.shape[0] + 1))
+    C[:, :, 0] = X[:, rows, first]
     d2 = _sq_dists(X, C[:, :, :1])[:, 0]
-    for c in range(1, k):
+    for c, uc in enumerate(u, start=1):
         totals = d2.sum(axis=1)
         spread = totals > 0.0
-        # the inverse-CDF draw Generator.choice(n, p=p[r]) makes: the number of
+        # the inverse-CDF step of Generator.choice(n, p=p[r]): the number of
         # entries of the nondecreasing cdf[r] that are <= u
         with np.errstate(invalid="ignore"):
             cdf = np.cumsum(d2 / totals[:, None], axis=1)
             cdf /= cdf[:, -1:]
-        u = np.full(runs, np.nan)
-        u[spread] = streams.random(rows[spread])
-        idx = (cdf <= u[:, None]).sum(axis=1)
-        idx[~spread] = streams.integers(n, rows[~spread])
+        idx = (cdf <= uc[:, None]).sum(axis=1)
+        idx[~spread] = (uc[~spread] * n).astype(np.intp)
         C[:, :, c] = X[:, rows, idx]
         np.minimum(d2, _sq_dists(X, C[:, :, c : c + 1])[:, 0], out=d2)
     return C
@@ -211,28 +176,17 @@ def _bins(assign: np.ndarray, k: int) -> np.ndarray:
     return (assign + k * np.arange(assign.shape[0])[:, None]).ravel()
 
 
-def _block_sums(grouped: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive block of `counts` rows of `grouped`, one .sum() per block."""
-    ends = np.cumsum(counts).tolist()
-    return np.array([grouped[e - m : e].sum() for e, m in zip(ends, counts.tolist())])
-
-
 def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """(d, runs, k) means of each cluster of each run's (runs, n) assignment,
     from the (d, runs, n) coordinate planes of each run's points.
 
-    Each mean adds its points in the order pts[mask].mean(axis=0) adds them and
-    divides by the count; an empty cluster gets NaN, as that mean does.
+    Each mean adds its points in row order and divides by the count; an empty
+    cluster gets NaN.
     """
     d, runs, _ = X.shape
     bins = _bins(assign, k)
     counts = np.bincount(bins, minlength=runs * k)
-    if d == 1:
-        # numpy sums a single column pairwise, not in row order
-        sums = _block_sums(X.ravel()[np.argsort(bins, kind="stable")], counts)[None]
-    else:
-        # a bincount adds each cluster's coordinates in row order
-        sums = np.array([np.bincount(bins, weights=x.ravel(), minlength=runs * k) for x in X])
+    sums = np.array([np.bincount(bins, weights=x.ravel(), minlength=runs * k) for x in X])
     with np.errstate(invalid="ignore"):
         return (sums / counts).reshape(d, runs, k)
 
@@ -269,200 +223,14 @@ def _lloyd(X: np.ndarray, C: np.ndarray, max_iters: int) -> np.ndarray:
     return assign
 
 
-def _wcss(X: np.ndarray, assign: np.ndarray, k: int) -> list[float]:
-    """Within-cluster sum of squares of each run's (runs, n) assignment, from
-    the (d, runs, n) coordinate planes of each run's points.
-
-    Each cluster sums its squared deviations as one block of rows, and the
-    clusters add up in label order, so a run scores exactly as it would on its
-    own.
-    """
-    d, runs, n = X.shape
-    bins = _bins(assign, k)
-    order = np.argsort(bins, kind="stable")
-    means = _cluster_means(X, assign, k).reshape(d, runs * k).T
-    dev = X.reshape(d, runs * n).T[order] - means[bins[order]]
-    terms = _block_sums(dev**2, np.bincount(bins, minlength=runs * k))
-    scores = []
-    for row in terms.reshape(runs, k).tolist():
-        wcss = 0.0
-        for term in row:
-            wcss += term
-        scores.append(wcss)
-    return scores
-
-
 def _best_restarts(X: np.ndarray, assigns: np.ndarray, k: int, restarts: int) -> np.ndarray:
     """Each frame's assignment of least WCSS among its `restarts` consecutive
-    runs, ties to the earliest; identical assignments score identically, so
-    only the first of each is scored."""
-    firsts = []
-    for lo in range(0, assigns.shape[0], restarts):
-        seen = {}
-        for r in range(lo, lo + restarts):
-            seen.setdefault(assigns[r].tobytes(), r)
-        firsts.append(list(seen.values()))
-    rows = [r for runs in firsts for r in runs]
-    score = dict(zip(rows, _wcss(X[:, rows], assigns[rows], k)))
-    best = []
-    for runs in firsts:
-        pick, least = runs[0], np.inf
-        for r in runs:
-            if score[r] < least:
-                pick, least = r, score[r]
-        best.append(pick)
-    return assigns[best]
-
-
-# SeedSequence's hash constants, as numpy defines them
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-
-
-def _hashmix(value, h: int | np.ndarray, mult: int = _MULT_A):
-    """SeedSequence's hashmix of value under hash constant h, with the next
-    constant; value and h are ints or uint32 arrays."""
-    nxt = h * mult & _M32
-    value = (value ^ h) * nxt & _M32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _words(x) -> list[int]:
-    """The uint32 words SeedSequence reads from entropy or a spawn key: the
-    little-endian words of each int in turn, one word for 0."""
-    if isinstance(x, str):
-        return _words(int(x, 16) if x.startswith("0x") else int(x))
-    if not isinstance(x, (int, np.integer)):
-        return [w for v in x for w in _words(v)]
-    x = int(x)
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words
-
-
-def _mixed_prefix(root) -> tuple[list[int], list[int]]:
-    """Pool words 0..7 of root's children before the last entropy word, the
-    child's index, is mixed in, and the hash constant that mixes it into each.
-
-    A child's entropy is root's run entropy, zero-padded to the pool size, then
-    root's spawn key and the index; only the index differs between children.
-    Pool word j of the child feeds word j of its 8-word generate_state.
-    """
-    size = root.pool_size
-    run = _words(root.entropy)
-    words = run + [0] * (size - len(run)) + _words(root.spawn_key)
-    h = _INIT_A
-    pool = []
-    for w in words[:size]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for w in words[size:]:
-        for dst in range(size):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
-    return (
-        [pool[j % size] for j in range(8)],
-        [h * pow(_MULT_A, j % size, 1 << 32) & _M32 for j in range(8)],
-    )
-
-
-# PCG64's 128-bit multiplier as (high, low) uint64 words
-_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-# generate_state's hash constant before each of its 8 output words
-_STATE_CONSTS = np.array(
-    [_INIT_B * pow(_MULT_B, j, 1 << 32) & _M32 for j in range(8)], dtype=np.uint32
-)[:, None]
-
-
-class _Streams:
-    """The PCG64 stream of every restart of a k-means batch, drawn for many
-    restarts at once.
-
-    Restart i of a frame seeded by root draws exactly what
-    ``Generator(PCG64(SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
-    pool_size=root.pool_size)))`` draws through ``integers(n)`` (n <= 2**32) and
-    ``random()``. Each 128-bit state is a (high, low) pair of uint64 arrays, one
-    entry a run; uint64 array arithmetic wraps modulo 2**64.
-    """
-
-    def __init__(self, roots: list, restarts: int):
-        pre, consts = zip(*(_mixed_prefix(root) for root in roots))
-        pre = np.repeat(np.array(pre, dtype=np.uint32).T, restarts, axis=1)
-        consts = np.repeat(np.array(consts, dtype=np.uint32).T, restarts, axis=1)
-        index = np.tile(np.arange(restarts, dtype=np.uint32), len(roots))
-        # mix the index into the pool, then generate_state(4, uint64)
-        words, _ = _hashmix(_mix(pre, _hashmix(index, consts)[0]), _STATE_CONSTS, _MULT_B)
-        w = words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
-        # PCG64 seeding: seed = (w0, w1) and increment = (w2, w3), high word first
-        self.inc_hi = w[2] << 1 | w[3] >> 63
-        self.inc_lo = w[3] << 1 | 1
-        lo = self.inc_lo + w[1]
-        hi = self.inc_hi + w[0] + (lo < w[1])
-        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
-        # the high half of a 64-bit draw, held for the next 32-bit draw
-        self.held = np.zeros_like(lo)
-        self.has_held = np.zeros(lo.shape, dtype=bool)
-
-    @staticmethod
-    def _step(hi, lo, inc_hi, inc_lo):
-        """state * multiplier + increment, modulo 2**128."""
-        # the high word of lo * _MULT_LO, from products of 32-bit halves
-        a0, a1, b0, b1 = lo & _M32, lo >> 32, _MULT_LO & _M32, _MULT_LO >> 32
-        p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-        carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        new_lo = lo * _MULT_LO + inc_lo
-        new_hi = carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
-        return new_hi, new_lo
-
-    def _next64(self, rows: np.ndarray) -> np.ndarray:
-        hi, lo = self._step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
-        self.hi[rows], self.lo[rows] = hi, lo
-        x, rot = hi ^ lo, hi >> 58
-        return x >> rot | x << (-rot & 63)
-
-    def _next32(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's held half if it holds one, else the low half of a fresh
-        64-bit draw, holding its high half."""
-        held = self.has_held[rows]
-        out = self.held[rows]
-        x = self._next64(rows[~held])
-        out[~held] = x & _M32
-        self.held[rows[~held]] = x >> 32
-        self.has_held[rows] = ~held
-        return out
-
-    def integers(self, n: int, rows: np.ndarray) -> np.ndarray:
-        """Generator.integers(n) of each row: Lemire's bounded draw on 32 bits."""
-        out = np.zeros(rows.size, dtype=np.intp)
-        if n == 1:
-            return out
-        floor = (2**32 - n) % n
-        todo = np.arange(rows.size)
-        while todo.size:
-            m = self._next32(rows[todo]) * np.uint64(n)
-            ok = (m & _M32) >= floor
-            out[todo[ok]] = m[ok] >> 32
-            todo = todo[~ok]
-        return out
-
-    def random(self, rows: np.ndarray) -> np.ndarray:
-        """Generator.random() of each row; a held half stays held."""
-        return (self._next64(rows) >> 11) * 2.0**-53
+    runs, ties to the earliest. A run's WCSS is the .sum() of each point's
+    squared distance to the mean of its cluster."""
+    d2 = _sq_dists(X, _cluster_means(X, assigns, k))
+    wcss = np.take_along_axis(d2, assigns[:, None, :], axis=1)[:, 0].sum(axis=1)
+    runs = assigns.shape[0]
+    return assigns[np.arange(0, runs, restarts) + wcss.reshape(-1, restarts).argmin(axis=1)]
 
 
 def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
@@ -474,11 +242,14 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     own, ties in WCSS going to the earliest restart. The restarts of many
     frames run together in one Lloyd loop, in batches of bounded size.
 
-    Restart i of a frame whose seed is the SeedSequence `root` (any other
-    seed is read as SeedSequence(seed)) draws exactly what its own generator
-    ``default_rng(SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
-    pool_size=root.pool_size))`` would draw, the i-th child that spawn gives a
-    fresh root. No generator is built, and root is not advanced.
+    A frame's restarts all draw from one ``np.random.default_rng(seed)``:
+    first ``integers(n, size=restarts)``, restart r's first center; then one
+    ``random(restarts)`` per later center, which picks restart r's next point
+    by the inverse CDF of its squared distances to the nearest center so far,
+    or, when those are all zero, point ``floor(u * n)`` of that same uniform u.
+    Coordinates are added in index order, a cluster's mean is its row-order
+    sum over its count, and a restart's WCSS is the ``.sum()`` of its points'
+    squared distances to their means.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -502,18 +273,16 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    roots = [
-        s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in seeds
-    ]
-    # sums over coordinates follow the C layout whatever the layout of points
-    pts = np.ascontiguousarray(pts)
+    rngs = [np.random.default_rng(s) for s in seeds]
     per_batch = max(1, _KMEANS_BATCH_ELEMENTS // (restarts * n * max(k, d)))
     labels = np.empty((frames, n), dtype=np.intp)
     for lo in range(0, frames, per_batch):
         hi = min(lo + per_batch, frames)
         X = np.repeat(pts[lo:hi].transpose(2, 0, 1), restarts, axis=1)
-        streams = _Streams(roots[lo:hi], restarts)
-        assigns = _lloyd(X, _kmeans_pp(X, k, streams), max_iters)
+        first = np.concatenate([g.integers(n, size=restarts) for g in rngs[lo:hi]])
+        # k - 1 calls of random(restarts) draw what one random((k - 1, restarts)) does
+        u = np.concatenate([g.random((k - 1, restarts)) for g in rngs[lo:hi]], axis=1)
+        assigns = _lloyd(X, _kmeans_pp(X, first, u), max_iters)
         labels[lo:hi] = _best_restarts(X, assigns, k, restarts)
     # a copy, so that one frame's labels own their memory as a stack's do
     return labels if stacked else labels[0].copy()

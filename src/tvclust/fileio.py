@@ -42,27 +42,44 @@ def write_tvg(path, seq: TVGraphSequence) -> None:
     write_lines(path, lines)
 
 
-def read_tvg(path) -> TVGraphSequence:
-    text = Path(path).read_text(encoding="utf-8")
+def _named(parse, path):
+    """parse(text of path), with the path in front of any ValueError it raises."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _header(line: str, magic: str, size: int, what: str) -> list[int]:
+    """The integers after the version in a header line of `size` words that
+    starts with `magic`."""
+    head = line.split()
+    try:
+        if len(head) != size or head[0] != magic:
+            raise ValueError
+        fields = [int(x) for x in head[1:]]
+    except ValueError:
+        raise ValueError(f"bad {what} header {line!r}") from None
+    if fields[0] != FORMAT_VERSION:
+        raise ValueError(f"unsupported {what} format version {fields[0]}")
+    return fields[1:]
+
+
+def _parse_tvg(text: str) -> TVGraphSequence:
     head_line, _, body = text.lstrip().partition("\n")
     if not head_line:
-        raise ValueError(f"{path}: empty graph file")
-    head = head_line.split()
-    if len(head) != 4 or head[0] != TVG_MAGIC:
-        raise ValueError(f"{path}: bad graph header {head_line!r}")
-    version, n, t_len = (int(x) for x in head[1:])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported graph format version {version}")
+        raise ValueError("empty graph file")
+    n, t_len = _header(head_line, TVG_MAGIC, 4, "graph")
     if body and not body.isspace():
         try:
             rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path}: bad edge line: {exc}") from exc
+            raise ValueError(f"bad edge line: {exc}") from exc
     else:
         rows = np.empty(0, dtype=_EDGE_DTYPE)
     out_of_range = (rows["t"] < 0) | (rows["t"] >= t_len)
     if out_of_range.any():
-        raise ValueError(f"{path}: frame index {rows['t'][out_of_range][0]} out of range")
+        raise ValueError(f"frame index {rows['t'][out_of_range][0]} out of range")
     # a stable sort keeps each frame's edges in file order
     rows = rows[np.argsort(rows["t"], kind="stable")]
     bounds = np.searchsorted(rows["t"], np.arange(t_len + 1)).tolist()
@@ -72,29 +89,31 @@ def read_tvg(path) -> TVGraphSequence:
     )
 
 
+def read_tvg(path) -> TVGraphSequence:
+    return _named(_parse_tvg, path)
+
+
 def write_labels(path, ls: LabelSequence) -> None:
     lines = [f"{LBL_MAGIC} {FORMAT_VERSION} {ls.n} {ls.t_len} {ls.k}"]
     lines.extend(" ".join(str(x) for x in row.tolist()) for row in ls.labels)
     write_lines(path, lines)
 
 
-def read_labels(path) -> LabelSequence:
-    text = Path(path).read_text(encoding="utf-8")
+def _parse_labels(text: str) -> LabelSequence:
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty labels file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != LBL_MAGIC:
-        raise ValueError(f"{path}: bad labels header {lines[0]!r}")
-    version, n, t_len, k = (int(x) for x in head[1:])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported labels format version {version}")
+        raise ValueError("empty labels file")
+    n, t_len, k = _header(lines[0], LBL_MAGIC, 5, "labels")
     if len(lines) - 1 != t_len:
-        raise ValueError(f"{path}: expected {t_len} label rows, found {len(lines) - 1}")
+        raise ValueError(f"expected {t_len} label rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
         row = [int(x) for x in ln.split()]
         if len(row) != n:
-            raise ValueError(f"{path}: expected {n} labels per row, got {len(row)}")
+            raise ValueError(f"expected {n} labels per row, got {len(row)}")
         rows.append(row)
     return LabelSequence(np.asarray(rows, dtype=np.int64), k)
+
+
+def read_labels(path) -> LabelSequence:
+    return _named(_parse_labels, path)

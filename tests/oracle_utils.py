@@ -72,28 +72,47 @@ def max_assignment_oracle(table):
     return cols.tolist()
 
 
-def _kmeans_pp_oracle(pts, k, rng):
+def _sq_dist_oracle(a, b):
+    """Squared distance between two points, adding coordinates in index order."""
+    total = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        total += (x - y) * (x - y)
+    return total
+
+
+def _mean_oracle(rows):
+    """Row-order sum of the rows over their count."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total / rows.shape[0]
+
+
+def _kmeans_pp_oracle(pts, k, first, u):
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    centers[0] = pts[first]
+    d2 = np.array([_sq_dist_oracle(p, centers[0]) for p in pts])
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            # the inverse-CDF step of Generator.choice(n, p=d2 / total)
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, u[c - 1], side="right"))
         else:
-            idx = int(rng.integers(n))
+            idx = int(np.floor(u[c - 1] * n))
         centers[c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, [_sq_dist_oracle(p, centers[c]) for p in pts])
     return centers
 
 
-def _lloyd_oracle(pts, k, rng, max_iters):
+def _lloyd_oracle(pts, k, first, u, max_iters):
     n = pts.shape[0]
-    centers = _kmeans_pp_oracle(pts, k, rng)
+    centers = _kmeans_pp_oracle(pts, k, first, u)
     assign = None
     for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.array([[_sq_dist_oracle(p, ctr) for ctr in centers] for p in pts])
         new = d2.argmin(axis=1)
         for c in range(k):
             if not np.any(new == c):
@@ -103,36 +122,39 @@ def _lloyd_oracle(pts, k, rng, max_iters):
                 far = max(movable, key=lambda i: d2[i, new[i]])
                 centers[c] = pts[far]
                 new[far] = c
-                d2[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
+                d2[:, c] = [_sq_dist_oracle(p, centers[c]) for p in pts]
         if assign is not None and np.array_equal(new, assign):
             break
         assign = new
         for c in range(k):
-            centers[c] = pts[assign == c].mean(axis=0)
-    wcss = 0.0
-    for c in range(k):
-        mask = assign == c
-        if np.any(mask):
-            ctr = pts[mask].mean(axis=0)
-            wcss += float(((pts[mask] - ctr) ** 2).sum())
-    return assign, wcss
+            centers[c] = _mean_oracle(pts[assign == c])
+    return assign, wcss_oracle(pts, assign)
+
+
+def wcss_oracle(pts, assign):
+    """The 1-D .sum() of each point's squared distance to its cluster's mean."""
+    means = {c: _mean_oracle(pts[assign == c]) for c in set(assign.tolist())}
+    return np.array([_sq_dist_oracle(p, means[c]) for p, c in zip(pts, assign)]).sum()
 
 
 def kmeans_oracle(points, k, seed, restarts=50, max_iters=300):
     """Sequential k-means: one restart at a time, Lloyd's iterations from k-means++
-    seeding, best restart by WCSS with ties to the earliest."""
+    seeding, best restart by WCSS with ties to the earliest.
+
+    Every draw comes from one np.random.default_rng(seed), made before the
+    first restart runs: integers(n, size=restarts) for the first centers, then
+    one random(restarts) per later center."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
+    first = rng.integers(pts.shape[0], size=restarts)
+    u = np.array([rng.random(restarts) for _ in range(k - 1)]).reshape(k - 1, restarts)
     best_assign = None
-    best_wcss = np.inf
+    best_wcss = None
     for i in range(restarts):
-        child = np.random.SeedSequence(
-            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
-        )
-        assign, wcss = _lloyd_oracle(pts, k, np.random.default_rng(child), max_iters)
-        if wcss < best_wcss:
+        assign, wcss = _lloyd_oracle(pts, k, first[i], u[:, i], max_iters)
+        if best_wcss is None or wcss < best_wcss:
             best_wcss = wcss
             best_assign = assign
     return best_assign

@@ -172,6 +172,8 @@ class TestFileFormats:
             ("-1 0 1 0.5", "frame index -1 out of range"),
             ("0.5 0 1 0.5", "bad edge line"),
             ("0 x 1 0.5", "bad edge line"),
+            ("0 0 5 1.0", "edge endpoint out of range"),
+            ("1 2 2 1.0", "self-loops"),
         ],
     )
     def test_tvg_bad_edge_lines_name_the_file(self, tmp_path, line, message):
@@ -180,6 +182,41 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=message) as info:
             fileio.read_tvg(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tvg 1 x 4\n", "bad graph header 'tvg 1 x 4'"),
+            ("tvg 1 3\n", "bad graph header"),
+            ("tvg 2 3 1\n", "unsupported graph format version 2"),
+            ("\n", "empty graph file"),
+        ],
+    )
+    def test_tvg_bad_headers_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "broken.tvg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            fileio.read_tvg(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lbl 1 3 1 2\n0 1 z\n", "invalid literal"),
+            ("lbl 1 3 1 2\n0 1 5\n", r"labels must lie in \[0, k\)"),
+            ("lbl 1 3 1 2\n0 1\n", "expected 3 labels per row"),
+            ("lbl 1 3 2 2\n0 1 1\n", "expected 2 label rows"),
+            ("lbl 1 x 1 2\n0 1 1\n", "bad labels header"),
+            ("lbl 1 3 1 0\n0 1 1\n", "k must be >= 1"),
+            ("", "empty labels file"),
+        ],
+    )
+    def test_labels_bad_lines_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "broken.lbl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            fileio.read_labels(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_labels_round_trip(self, tmp_path):
         _, labels = small_sequence()
@@ -422,7 +459,7 @@ class TestCluster:
              "5c4ed4a140d5ea9e435ede84c8ec46d5b86d94fd427fd78e7b20006e753f9213",
              "2cf3a72c2530a05680a79266720c3aba2eed1dfcbdb449284c5ef7a51f769a39"),
             (3, SbmTvParams(8, 3, 5, 0.7, 0.1, 0.05, seed=6),
-             "3949ff3ddee42b38d8e8f254d7dda04cb2fd95758496a8865bb7859d1bcabbc7",
+             "7b6a88af626284a2bba455c790709f462ed652f45ba16a91d0c825d3a040b16e",
              "115bf995f0b6df305b88a3f1fa0d2819b59ef650cca67fe0b84834c95b9e8130"),
         ],
         ids=["k2", "k3"],
@@ -433,7 +470,9 @@ class TestCluster:
         Both cases run capped solves, and the digests were recaptured when a
         capped solve began to return its re-projected start whenever that scores
         below its re-projected best iterate (k = 2 at its one level, k = 3 at its
-        second). Like
+        second). The k = 3 label digest was recaptured again when the k-means
+        restarts of a frame began to draw from one generator: every frame keeps
+        its partition under new label names. Like
         tests/test_solver.py::TestBitIdentity they hold for one numpy, scipy and
         OpenBLAS build.
         """
@@ -465,6 +504,19 @@ class TestCluster:
         ])
         assert res.exit_code == 0, res.output
         assert len(list(out.glob("est_*.lbl"))) == 2
+
+    def test_directory_input_names_the_broken_file(self, runner, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        seq, _ = small_sequence(seed=10)
+        fileio.write_tvg(data / "graph_000.tvg", seq)
+        (data / "graph_001.tvg").write_text("tvg 1 3 1\n0 0 5 1.0\n", encoding="utf-8")
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(data), "--method", "static-sc", "--k", "2",
+            "--seed", "0", "--out", str(tmp_path / "runs"),
+        ])
+        assert res.exit_code == 1
+        assert f"{data / 'graph_001.tvg'}: edge endpoint out of range" in res.output
 
 
 class TestEvaluate:

@@ -29,6 +29,7 @@ _EXPORTS = {
     "TVGraphSequence": "graphs",
     "WeightedGraph": "graphs",
     "build_laplacian": "graphs",
+    "dense_laplacian": "graphs",
     "max_eigenvalue": "graphs",
     "quadratic_form": "graphs",
     "smallest_eigenvectors": "graphs",

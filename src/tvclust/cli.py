@@ -25,7 +25,7 @@ from . import __version__, fileio
 from .clustering import static_sc, tv_cluster_multi
 from .experiments import DENSE_FULL, cloud_to_graphs, total_mismatch, trial_seeds
 from .generators import SbmTvParams, sbm_tv_sequence
-from .graphs import build_laplacian
+from .graphs import dense_laplacian
 from .metrics import eigengap_profile, pair_accuracy
 from .pointcloud import downsample, load_frames
 from .solver import SolverConfig
@@ -290,7 +290,7 @@ def cmd_eigengap(graph_path, m, out_path):
     out = _outdir(out_path)
     rows = ["t," + ",".join(f"gap_{i}" for i in range(1, m))]
     for t, g in enumerate(seq.graphs):
-        gaps = eigengap_profile(build_laplacian(g), m)
+        gaps = eigengap_profile(dense_laplacian(g), m)
         rows.append(f"{t}," + ",".join(repr(float(x)) for x in gaps))
     fileio.write_lines(out / "eigengap.csv", rows)
     click.echo(f"wrote eigengap.csv: T={seq.t_len} gaps={m - 1}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
+from .graphs import TVGraphSequence, build_laplacian, dense_laplacian, smallest_eigenvectors
 from .solver import SolveResult, SolverConfig, pds_solve
 
 # spawn_key tags keep the warm-start, k-means and static-sc streams drawn from
@@ -375,19 +375,21 @@ def align_sequence(ls: LabelSequence) -> LabelSequence:
 def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
     """Per-frame spectral clustering: k smallest eigenvectors, then seeded k-means.
 
-    Every frame's eigensolve runs before any k-means: a LAPACK call wakes the
-    BLAS worker threads, which then spin through whatever single-threaded work
-    follows it, so interleaving the two about doubles the CPU time. The CLI
-    runs on one BLAS thread, so no thread spins there at all; library callers
-    can do the same with ``tvclust.entry.one_blas_thread`` (README,
-    "Performance notes").
+    Each frame's dense Laplacian gets its own ``np.linalg.eigh``, so this path
+    loads no scipy. Every frame's eigensolve runs before any k-means: a LAPACK
+    call wakes the BLAS worker threads, which then spin through whatever
+    single-threaded work follows it, so interleaving the two about doubles the
+    CPU time. The CLI runs on one BLAS thread, so no thread spins there at all;
+    library callers can do the same with ``tvclust.entry.one_blas_thread``
+    (README, "Performance notes"). One batched eigh over all frames is no
+    faster and holds every frame's eigenbasis at once.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > seq.n:
         raise ValueError("k must not exceed the node count")
     frame_seeds = np.random.SeedSequence(entropy=seed, spawn_key=_STATIC_TAG).spawn(seq.t_len)
-    embeddings = np.stack([smallest_eigenvectors(build_laplacian(g), k)[1] for g in seq.graphs])
+    embeddings = np.stack([smallest_eigenvectors(dense_laplacian(g), k)[1] for g in seq.graphs])
     return LabelSequence(kmeans(embeddings, k, frame_seeds), k)
 
 

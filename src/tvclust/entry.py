@@ -1,11 +1,13 @@
 """Process entry points that run on one BLAS thread unless told otherwise.
 
 The command line works on Laplacians of a few hundred nodes at most. At that
-size a second OpenBLAS thread saves no wall time and only spins: a
-``scipy.linalg.eigh`` of 4 eigenpairs at n = 150 takes 1.3 ms on one thread
-and 3.2 ms on two (2-core x86-64 machine). A threaded BLAS call also splits
-its sums by thread count, so the last bits of a result, and the bytes a
-command writes, would depend on the machine's core count.
+size a second OpenBLAS thread saves no wall time and only spins: a full
+``numpy.linalg.eigh`` of a Laplacian at n = 150 takes 3.5 ms of CPU on one
+thread and 7.0 ms on two, for the same wall time (2-core x86-64 machine). The
+partial ``scipy.linalg.eigh`` of the tv-pds warm start behaves the same way.
+A threaded BLAS call also splits its sums by thread count, so the last bits of
+a result, and the bytes a command writes, would depend on the machine's core
+count.
 
 OpenBLAS reads its thread count once, when its library loads, so the default
 must be in the environment before numpy or scipy is imported. Importing

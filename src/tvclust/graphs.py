@@ -126,16 +126,33 @@ class MaxEigenvalue(NamedTuple):
     converged: bool
 
 
-def build_laplacian(g: WeightedGraph) -> scipy.sparse.csr_matrix:
-    """Combinatorial Laplacian in CSR: degrees on the diagonal, -w off it; rows sum to zero."""
-    import scipy.sparse
-
+def _laplacian_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Laplacian: -w at both (i, j) and (j, i), then every
+    degree on the diagonal, isolated nodes included; no position appears twice."""
     i, j, w = g.edge_arrays()
     diag = np.arange(g.n)
     rows = np.concatenate([i, j, diag])
     cols = np.concatenate([j, i, diag])
     vals = np.concatenate([-w, -w, g.degrees()])
+    return rows, cols, vals
+
+
+def build_laplacian(g: WeightedGraph) -> scipy.sparse.csr_matrix:
+    """Combinatorial Laplacian in CSR: degrees on the diagonal, -w off it; rows sum to zero."""
+    import scipy.sparse
+
+    rows, cols, vals = _laplacian_entries(g)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+
+
+def dense_laplacian(g: WeightedGraph) -> np.ndarray:
+    """The Laplacian of build_laplacian as an (n, n) numpy array, equal to its
+    ``toarray()`` bit for bit: entries are added to zeros, as ``toarray`` adds
+    them, so the -w of a zero-weight edge is stored as +0.0. Needs no scipy."""
+    rows, cols, vals = _laplacian_entries(g)
+    L = np.zeros((g.n, g.n))
+    L[rows, cols] += vals
+    return L
 
 
 def quadratic_form(L: scipy.sparse.csr_matrix, f) -> float:
@@ -187,15 +204,25 @@ def max_eigenvalue(
     return MaxEigenvalue(best, all_ok)
 
 
-def smallest_eigenvectors(L: scipy.sparse.csr_matrix, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m smallest eigenpairs, ascending; eigenvectors orthonormal, as columns."""
-    import scipy.linalg
+def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m smallest eigenpairs of a dense symmetric (n, n) array, such as
+    dense_laplacian's, ascending; eigenvectors orthonormal, as columns.
 
+    One full ``np.linalg.eigh`` (LAPACK syevd); the first m eigenvalues and
+    columns are returned as copies, so the full eigenbasis can be freed. Where
+    an eigenvalue repeats across the m-th place, any orthonormal basis of its
+    eigenspace is an equally valid answer.
+    """
+    if not isinstance(L, np.ndarray) or L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise ValueError(
+            f"L must be a 2-D square numpy.ndarray, got {type(L).__name__}"
+            f" of shape {getattr(L, 'shape', None)}"
+        )
     n = L.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    vals, vecs = scipy.linalg.eigh(L.toarray(), subset_by_index=(0, m - 1))
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(L)
+    return vals[:m].copy(), vecs[:, :m].copy()
 
 
 def temporal_diff(frames: np.ndarray) -> np.ndarray:

@@ -3,13 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-# scipy is imported by the functions that call it, so importing tvclust stays cheap
-if TYPE_CHECKING:
-    import scipy.sparse
 
 from .clustering import LabelSequence
 from .graphs import WeightedGraph, smallest_eigenvectors
@@ -71,8 +66,9 @@ def ratiocut(g: WeightedGraph, labels, k: int) -> float:
     return total
 
 
-def eigengap_profile(L: scipy.sparse.csr_matrix, m: int) -> np.ndarray:
-    """Consecutive differences of the m smallest eigenvalues (m - 1 gaps)."""
+def eigengap_profile(L: np.ndarray, m: int) -> np.ndarray:
+    """Consecutive differences of the m smallest eigenvalues (m - 1 gaps) of a
+    dense (n, n) Laplacian, such as ``graphs.dense_laplacian``'s; needs no scipy."""
     vals, _ = smallest_eigenvectors(L, m)
     return np.diff(vals)
 

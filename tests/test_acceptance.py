@@ -24,7 +24,7 @@ from tvclust.experiments import (
     make_articulated_cloud,
 )
 from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
-from tvclust.graphs import TVGraphSequence, build_laplacian, smallest_eigenvectors
+from tvclust.graphs import TVGraphSequence, dense_laplacian, smallest_eigenvectors
 from tvclust.metrics import accuracy_report, eigengap_profile, pair_accuracy
 from tvclust.prox import prox_conjugate, prox_slab, prox_sphere, soft_threshold
 from tvclust.solver import SolverConfig
@@ -157,7 +157,7 @@ def test_c04_static_sc_consistency():
         seq, _ = sbm_tv_sequence(params)
         labels, _, _ = tv_cluster_multi(seq, 2, SolverConfig(alpha=0.0, seed=seed))
         for t, g in enumerate(seq.graphs):
-            _, vecs = smallest_eigenvectors(build_laplacian(g), 2)
+            _, vecs = smallest_eigenvectors(dense_laplacian(g), 2)
             fied = (vecs[:, 1] < 0).astype(int)
             agree = float((labels.frame(t) == fied).mean())
             total += 1
@@ -215,7 +215,7 @@ def test_c08_eigengap_diagnostic():
         for seed in range(10):
             seq, _ = sbm_tv_sequence(replace(params, seed=3000 + seed))
             gaps.extend(
-                float(eigengap_profile(build_laplacian(g), 4)[2]) for g in seq.graphs
+                float(eigengap_profile(dense_laplacian(g), 4)[2]) for g in seq.graphs
             )
         means[name] = float(np.mean(gaps))
     elapsed = time.perf_counter() - start

@@ -68,9 +68,10 @@ def test_import_and_help_leave_scipy_unloaded(code):
     [
         (["evaluate", "--est", "runs", "--truth", "data", "--out", "eval", "--svg"], "scipy"),
         (["cluster", "--graph", "data", "--method", "static-sc", "--k", "2", "--out", "runs"],
-         "scipy.optimize"),
+         "scipy"),
+        (["eigengap", "--graph", "data/graph_000.tvg", "--m", "3", "--out", "gaps"], "scipy"),
     ],
-    ids=["evaluate", "cluster-static-sc"],
+    ids=["evaluate", "cluster-static-sc", "eigengap"],
 )
 def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
     seq, truth = small_sequence()
@@ -490,6 +491,35 @@ class TestCluster:
         canonical = json.dumps(report, indent=2, sort_keys=True).encode()
         assert hashlib.sha256((out / "est_g.lbl").read_bytes()).hexdigest() == lbl_sha
         assert hashlib.sha256(canonical).hexdigest() == report_sha
+
+    @pytest.mark.parametrize(
+        "k, params, lbl_sha",
+        [
+            (2, SbmTvParams(10, 2, 6, 0.8, 0.3, 0.05, seed=4),
+             "7885f7935150b91c590a2c7c19345ad2501ae97eaf0e4cd71317418ad0944975"),
+            (3, SbmTvParams(8, 3, 5, 0.8, 0.2, 0.05, seed=6),
+             "112e2fbbc032afc519b22cf121c6a9b10533b88eef0bd6116476327829f0c344"),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_static_sc_output_is_pinned(self, runner, tmp_path, k, params, lbl_sha):
+        """SHA-256 of the static-sc label file on dense sequences.
+
+        Every frame is connected and its k-th and (k+1)-th smallest Laplacian
+        eigenvalues are at least 0.6 apart, so the k eigenvectors span a
+        well-separated subspace and the labels do not depend on the LAPACK
+        driver that computes them. Like test_tv_pds_output_is_pinned they hold
+        for one numpy and OpenBLAS build.
+        """
+        seq, _ = sbm_tv_sequence(params)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "static-sc",
+            "--k", str(k), "--seed", "11", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256((out / "est_g.lbl").read_bytes()).hexdigest() == lbl_sha
 
     def test_directory_input_runs_all_trials(self, runner, tmp_path):
         data = tmp_path / "data"

@@ -22,7 +22,7 @@ from tvclust.clustering import (
     tv_cluster_multi,
 )
 from tvclust.generators import sbm_static, sbm_tv_sequence, SbmTvParams
-from tvclust.graphs import TVGraphSequence, WeightedGraph, build_laplacian, smallest_eigenvectors
+from tvclust.graphs import TVGraphSequence, WeightedGraph, dense_laplacian, smallest_eigenvectors
 from tvclust.metrics import pair_accuracy
 from tvclust.solver import SolverConfig
 
@@ -343,6 +343,40 @@ class TestStaticSc:
         truth = np.repeat([0, 1], 4)
         assert pair_accuracy(est.frame(0), truth) == 1.0
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_three_cliques_and_an_isolated_node(self, monkeypatch, k):
+        """Four components, so the Laplacian's zero eigenvalue has multiplicity 4
+        and any orthonormal basis of its eigenspace is a valid eigensolver answer.
+        Every such basis maps each component to one point, so no component is
+        split and every label is used. With k = 4 the points are pairwise
+        1/m_a + 1/m_b apart in squared distance, whatever the basis, and the
+        components come back exactly; with k = 3 two of them must share a label,
+        and which two depends on the basis."""
+        sizes = [5, 6, 7]
+        n = sum(sizes) + 1
+        g = cliques(sizes, n)
+        comp = np.repeat(np.arange(4), sizes + [1])
+        indicator = np.eye(4)[comp] / np.sqrt(np.bincount(comp))
+
+        def check(est):
+            frame = est.frame(0)
+            assert np.unique(frame).size == k
+            for c in range(4):
+                assert np.unique(frame[comp == c]).size == 1
+            if k == 4:
+                assert pair_accuracy(frame, comp) == 1.0
+
+        check(static_sc(TVGraphSequence((g,)), k, seed=9))
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            basis = indicator @ q
+            monkeypatch.setattr(
+                tvclust.clustering, "smallest_eigenvectors",
+                lambda L, m, basis=basis: (np.zeros(m), basis[:, :m]),
+            )
+            check(static_sc(TVGraphSequence((g,)), k, seed=int(rng.integers(100))))
+
     def test_identical_graphs_give_identical_partitions(self):
         rng = np.random.default_rng(10)
         labels = np.repeat([0, 1, 2], 8)
@@ -356,7 +390,7 @@ class TestStaticSc:
         seq, _ = sbm_tv_sequence(SbmTvParams(5, k, 4, 0.7, 0.2, 0.1, seed=20 + k))
         seeds = np.random.SeedSequence(17, spawn_key=_STATIC_TAG).spawn(seq.t_len)
         want = [
-            kmeans(smallest_eigenvectors(build_laplacian(g), k)[1], k, s)
+            kmeans(smallest_eigenvectors(dense_laplacian(g), k)[1], k, s)
             for g, s in zip(seq.graphs, seeds)
         ]
         assert np.array_equal(static_sc(seq, k, seed=17).labels, np.array(want))

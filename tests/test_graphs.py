@@ -7,6 +7,7 @@ from tvclust.graphs import (
     TVGraphSequence,
     WeightedGraph,
     build_laplacian,
+    dense_laplacian,
     max_eigenvalue,
     quadratic_form,
     smallest_eigenvectors,
@@ -95,6 +96,39 @@ class TestBuildLaplacian:
             assert quadratic_form(L, x) >= -1e-10 * float(x @ x)
 
 
+class TestDenseLaplacian:
+    @staticmethod
+    def assert_same_bits(g):
+        dense = dense_laplacian(g)
+        want = build_laplacian(g).toarray()
+        assert dense.dtype == want.dtype and dense.shape == want.shape == (g.n, g.n)
+        assert dense.tobytes() == want.tobytes()
+
+    def test_empty_graph(self):
+        for n in (1, 4):
+            self.assert_same_bits(WeightedGraph(n))
+            assert not np.signbit(dense_laplacian(WeightedGraph(n))).any()
+
+    def test_isolated_nodes_and_zero_weights(self):
+        g = WeightedGraph(6, [(0, 1, 0.0), (1, 2, 2.5), (0, 2, 0.0), (4, 5, 1e-300)])
+        self.assert_same_bits(g)
+        # the -w of a zero-weight edge is stored as +0.0, as toarray stores it
+        assert not np.signbit(dense_laplacian(g)[[0, 1, 0, 2], [1, 0, 2, 0]]).any()
+        assert dense_laplacian(g)[3].tolist() == [0.0] * 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_matches_build_laplacian(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=True))
+        edges = [(i, j, data.draw(weights)) for i, j in chosen]
+        self.assert_same_bits(WeightedGraph(n, edges))
+
+
 class TestQuadraticForm:
     def test_constant_signal_is_zero(self):
         g = WeightedGraph(4, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
@@ -162,7 +196,7 @@ class TestSmallestEigenvectors:
     def test_connected_graph_null_vector(self):
         rng = np.random.default_rng(3)
         g = WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 3, 0.5)])
-        vals, vecs = smallest_eigenvectors(build_laplacian(g), 1)
+        vals, vecs = smallest_eigenvectors(dense_laplacian(g), 1)
         assert vals[0] >= -1e-10
         assert vals[0] == pytest.approx(0.0, abs=1e-10)
         unit = np.ones(6) / np.sqrt(6)
@@ -170,12 +204,12 @@ class TestSmallestEigenvectors:
 
     def test_two_components_double_zero(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        vals, _ = smallest_eigenvectors(build_laplacian(g), 2)
+        vals, _ = smallest_eigenvectors(dense_laplacian(g), 2)
         assert np.allclose(vals, 0.0, atol=1e-10)
 
     def test_path_three_fiedler(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        vals, vecs = smallest_eigenvectors(build_laplacian(g), 2)
+        vals, vecs = smallest_eigenvectors(dense_laplacian(g), 2)
         assert vals[1] == pytest.approx(1.0, abs=1e-10)
         fied = vecs[:, 1] / np.linalg.norm(vecs[:, 1])
         expect = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
@@ -184,9 +218,8 @@ class TestSmallestEigenvectors:
     def test_residuals_and_orthonormality(self):
         rng = np.random.default_rng(17)
         g = random_graph(rng, 12)
-        L = build_laplacian(g)
-        vals, vecs = smallest_eigenvectors(L, 5)
-        dense = L.toarray()
+        dense = dense_laplacian(g)
+        vals, vecs = smallest_eigenvectors(dense, 5)
         scale = max(float(np.linalg.norm(dense, 2)), 1e-12)
         for i in range(5):
             res = np.linalg.norm(dense @ vecs[:, i] - vals[i] * vecs[:, i])
@@ -194,11 +227,35 @@ class TestSmallestEigenvectors:
         assert np.abs(vecs.T @ vecs - np.eye(5)).max() < 1e-8
 
     def test_m_out_of_range(self):
-        L = build_laplacian(WeightedGraph(3))
+        L = dense_laplacian(WeightedGraph(3))
         with pytest.raises(ValueError):
             smallest_eigenvectors(L, 4)
         with pytest.raises(ValueError):
             smallest_eigenvectors(L, 0)
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            build_laplacian(WeightedGraph(3, [(0, 1, 1.0)])),
+            np.zeros(3),
+            np.zeros((3, 2)),
+            np.zeros((1, 3, 3)),
+            [[1.0, -1.0], [-1.0, 1.0]],
+        ],
+        ids=["csr", "1-d", "non-square", "3-d", "list"],
+    )
+    def test_rejects_all_but_square_numpy_arrays(self, L):
+        with pytest.raises(ValueError, match="2-D square numpy.ndarray"):
+            smallest_eigenvectors(L, 1)
+
+    def test_returns_copies_of_the_leading_columns(self):
+        rng = np.random.default_rng(19)
+        L = dense_laplacian(random_graph(rng, 9))
+        vals, vecs = smallest_eigenvectors(L, 3)
+        full_vals, full_vecs = np.linalg.eigh(L)
+        assert vals.base is None and vecs.base is None
+        assert vecs.flags.c_contiguous
+        assert np.array_equal(vals, full_vals[:3]) and np.array_equal(vecs, full_vecs[:, :3])
 
 
 class TestTemporalDiff:

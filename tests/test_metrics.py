@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import pair_accuracy_oracle
 from tvclust.clustering import LabelSequence
-from tvclust.graphs import WeightedGraph, build_laplacian
+from tvclust.graphs import WeightedGraph, dense_laplacian
 from tvclust.metrics import (
     accuracy_report,
     eigengap_profile,
@@ -112,7 +112,7 @@ class TestRatioCut:
         rng = np.random.default_rng(2)
         planted = np.repeat([0, 1], 20)
         g = sbm_static(planted, 0.9, 0.05, rng)
-        _, vecs = smallest_eigenvectors(build_laplacian(g), 2)
+        _, vecs = smallest_eigenvectors(dense_laplacian(g), 2)
         fied = (vecs[:, 1] < 0).astype(int)
         rc_fied = ratiocut(g, fied, 2)
         base = np.repeat([0, 1], 20)
@@ -125,19 +125,19 @@ class TestEigengapProfile:
     def test_complete_graph(self):
         n = 6
         g = WeightedGraph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-        gaps = eigengap_profile(build_laplacian(g), 4)
+        gaps = eigengap_profile(dense_laplacian(g), 4)
         assert gaps[0] == pytest.approx(n, abs=1e-8)
         assert np.allclose(gaps[1:], 0.0, atol=1e-8)
 
     def test_two_cliques_first_gap_zero(self):
         g = WeightedGraph(6, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
                               (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)])
-        gaps = eigengap_profile(build_laplacian(g), 3)
+        gaps = eigengap_profile(dense_laplacian(g), 3)
         assert gaps[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_m_two_single_gap(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        gaps = eigengap_profile(build_laplacian(g), 2)
+        gaps = eigengap_profile(dense_laplacian(g), 2)
         assert gaps.shape == (1,)
         assert gaps[0] == pytest.approx(1.0, abs=1e-10)
 

@@ -30,7 +30,7 @@ _EXPORTS = {
     "WeightedGraph": "graphs",
     "build_laplacian": "graphs",
     "dense_laplacian": "graphs",
-    "max_eigenvalue": "graphs",
+    "largest_eigenvalue": "graphs",
     "quadratic_form": "graphs",
     "smallest_eigenvectors": "graphs",
     "temporal_diff": "graphs",
@@ -38,7 +38,7 @@ _EXPORTS = {
     "AccuracyReport": "metrics",
     "accuracy_report": "metrics",
     "eigengap_profile": "metrics",
-    "mismatch_count": "metrics",
+    "label_changes": "metrics",
     "pair_accuracy": "metrics",
     "ratiocut": "metrics",
     "PointFrameSequence": "pointcloud",

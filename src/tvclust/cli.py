@@ -178,7 +178,6 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
                 converged=all(r.converged for r in results),
                 final_objective=[r.objective for r in results],
                 beta=[r.beta for r in results],
-                beta_converged=[r.beta_converged for r in results],
             )
         report["wall_time_s"] = time.perf_counter() - started
         fileio.write_labels(out / f"est_{path.stem}.lbl", labels)

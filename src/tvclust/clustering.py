@@ -393,22 +393,16 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
     return LabelSequence(kmeans(embeddings, k, frame_seeds), k)
 
 
-def _warm_start(Ls, V: np.ndarray, rng) -> np.ndarray:
-    """Eigenvector of the time-averaged Laplacian, projected off each frame's
-    constraint directions V[t] and scaled to norm sqrt(n) in every frame.
+def _warm_start(x0: np.ndarray, V: np.ndarray, rng) -> np.ndarray:
+    """x0 projected off each frame's constraint directions V[t], scaled to norm
+    sqrt(n), and sign-aligned with the frame before.
 
-    Averaging pools the per-frame spectra, which separates slowly drifting cluster
-    structure that no single frame resolves; per-frame eigenvectors start the solve
-    inside frame-noise basins it cannot leave. For a single frame the average is
-    that frame's Laplacian, so this reduces to its own spectral start.
+    A frame where the projection leaves (almost) nothing, because x0 lies in the
+    span of V[t], starts from a random draw of `rng` projected the same way. In
+    tv_cluster_multi x0 is orthogonal to the earlier levels' starts, so this
+    guards against an earlier level's solve ending on x0's direction.
     """
-    import scipy.linalg
-
-    t_len, n_dirs, n = V.shape
-    m = min(n_dirs + 1, n)
-    avg = sum(Ls).toarray() / t_len
-    _, vecs = scipy.linalg.eigh(avg, subset_by_index=(0, m - 1))
-    x0 = vecs[:, m - 1]
+    t_len, _, n = V.shape
     C = np.empty((t_len, n))
     for t in range(t_len):
         x = x0.copy()
@@ -432,6 +426,14 @@ def tv_cluster_multi(
     """K-way clustering by k-1 sequential solves, each constrained orthogonal to the
     all-ones vector and to the cluster vectors found before it.
 
+    Level l (1 to k-1) starts from the eigenvector of the l-th smallest
+    eigenvalue (counting from 0) of the time-averaged Laplacian. Averaging pools
+    the per-frame spectra, which separates slowly drifting cluster structure
+    that no single frame resolves; per-frame eigenvectors start the solve inside
+    frame-noise basins it cannot leave. All levels take their starts from one
+    eigensolve, so the starts are orthonormal even where an eigenvalue repeats:
+    on a graph with several components every level starts in the null space.
+
     Returns the labels, the (t_len, n, k-1) cluster vectors and each solve's
     result. For k = 2 the labels are the signs of the one cluster vector; for
     larger k they come from per-frame k-means on the cluster vectors, aligned
@@ -445,10 +447,11 @@ def tv_cluster_multi(
     warm_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG)
     )
+    _, starts = smallest_eigenvectors(sum(Ls).toarray() / seq.t_len, k)
     V = np.ones((seq.t_len, 1, seq.n))
     results: list[SolveResult] = []
-    for _ in range(k - 1):
-        res = pds_solve(Ls, V, cfg, _warm_start(Ls, V, warm_rng))
+    for level in range(1, k):
+        res = pds_solve(Ls, V, cfg, _warm_start(starts[:, level], V, warm_rng))
         results.append(res)
         unit = res.c / np.linalg.norm(res.c, axis=1, keepdims=True)
         V = np.concatenate([V, unit[:, None, :]], axis=1)

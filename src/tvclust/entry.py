@@ -4,7 +4,8 @@ The command line works on Laplacians of a few hundred nodes at most. At that
 size a second OpenBLAS thread saves no wall time and only spins: a full
 ``numpy.linalg.eigh`` of a Laplacian at n = 150 takes 3.5 ms of CPU on one
 thread and 7.0 ms on two, for the same wall time (2-core x86-64 machine). The
-partial ``scipy.linalg.eigh`` of the tv-pds warm start behaves the same way.
+tv-pds path makes the same kind of call: one ``eigvalsh`` a frame for beta
+and one ``eigh`` for its warm starts.
 A threaded BLAS call also splits its sums by thread count, so the last bits of
 a result, and the bytes a command writes, would depend on the machine's core
 count.

@@ -9,7 +9,7 @@ import numpy as np
 from .clustering import LabelSequence, align_sequence, static_sc, tv_cluster_multi
 from .generators import SbmTvParams, sbm_tv_sequence
 from .graphs import TVGraphSequence
-from .metrics import accuracy_report, mismatch_count
+from .metrics import accuracy_report, label_changes
 from .pointcloud import PointFrameSequence, knn_graph
 from .solver import SolverConfig
 
@@ -43,10 +43,7 @@ def recommended_alpha(params: SbmTvParams) -> float:
 
 def total_mismatch(ls: LabelSequence) -> int:
     """Total frame-to-frame label changes after chain alignment."""
-    aligned = align_sequence(ls)
-    return sum(
-        mismatch_count(aligned.frame(t), aligned.frame(t - 1)) for t in range(1, aligned.t_len)
-    )
+    return int(label_changes(align_sequence(ls).labels).sum())
 
 
 def trial_seeds(seed: int, n: int) -> list[int]:

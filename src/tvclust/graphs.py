@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -121,11 +121,6 @@ class TVGraphSequence:
         return self.graphs == other.graphs
 
 
-class MaxEigenvalue(NamedTuple):
-    value: float
-    converged: bool
-
-
 def _laplacian_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of the Laplacian: -w at both (i, j) and (j, i), then every
     degree on the diagonal, isolated nodes included; no position appears twice."""
@@ -163,45 +158,16 @@ def quadratic_form(L: scipy.sparse.csr_matrix, f) -> float:
     return float(f @ (L @ f))
 
 
-_POWER_START_SEED = 0x5EED1E55
+def largest_eigenvalue(Ls: Sequence[scipy.sparse.csr_matrix]) -> float:
+    """Largest eigenvalue of a block-diagonal family: the maximum over its blocks
+    of the top eigenvalue of ``np.linalg.eigvalsh`` on the dense block.
 
-
-def _power_iteration(mat, tol: float, max_iters: int) -> tuple[float, bool]:
-    n = mat.shape[0]
-    rng = np.random.default_rng(_POWER_START_SEED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam_prev = np.inf
-    for _ in range(max_iters):
-        y = mat @ x
-        lam = float(x @ y)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0, True
-        if abs(lam - lam_prev) <= tol * max(abs(lam), np.finfo(float).tiny):
-            return lam, True
-        lam_prev = lam
-        x = y / norm_y
-    return lam_prev, False
-
-
-def max_eigenvalue(
-    Ls: Sequence[scipy.sparse.csr_matrix], tol: float = 1e-8, max_iters: int = 10000
-) -> MaxEigenvalue:
-    """Largest eigenvalue over a block-diagonal family, by per-block power iteration.
-
-    The block-diagonal maximum equals the per-block maximum. On non-convergence
-    the best estimate is returned with converged=False.
+    Exact to LAPACK precision. Blocks are solved one at a time, so only one
+    dense (n, n) copy exists at once.
     """
     if len(Ls) == 0:
         raise ValueError("need at least one Laplacian")
-    best = 0.0
-    all_ok = True
-    for L in Ls:
-        lam, ok = _power_iteration(L, tol, max_iters)
-        best = max(best, lam)
-        all_ok = all_ok and ok
-    return MaxEigenvalue(best, all_ok)
+    return max(float(np.linalg.eigvalsh(L.toarray())[-1]) for L in Ls)
 
 
 def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Evaluation: pair-counting accuracy, mismatch counts, RatioCut, eigengap profiles."""
+"""Evaluation: pair-counting accuracy, label changes, RatioCut, eigengap profiles."""
 
 from __future__ import annotations
 
@@ -38,13 +38,11 @@ def pair_accuracy(est, truth) -> float:
     return 2.0 * agree / (n * (n - 1))
 
 
-def mismatch_count(labels_t, labels_prev) -> int:
-    """Number of nodes whose label differs between two (already aligned) frames."""
-    a = np.asarray(labels_t)
-    b = np.asarray(labels_prev)
-    if a.shape != b.shape:
-        raise ValueError("label vectors must have equal length")
-    return int((a != b).sum())
+def label_changes(labels) -> np.ndarray:
+    """Per consecutive frame pair of a (t_len, n) labeling (already aligned), the
+    number of nodes whose label differs: t_len - 1 counts."""
+    labels = np.asarray(labels)
+    return (labels[1:] != labels[:-1]).sum(axis=1)
 
 
 def ratiocut(g: WeightedGraph, labels, k: int) -> float:
@@ -99,8 +97,4 @@ def accuracy_report(est: LabelSequence, truth: LabelSequence) -> AccuracyReport:
     per_frame = np.array(
         [pair_accuracy(est.frame(t), truth.frame(t)) for t in range(est.t_len)]
     )
-    mismatches = np.array(
-        [mismatch_count(est.frame(t), est.frame(t - 1)) for t in range(1, est.t_len)],
-        dtype=np.int64,
-    )
-    return AccuracyReport(per_frame, float(per_frame.mean()), mismatches)
+    return AccuracyReport(per_frame, float(per_frame.mean()), label_changes(est.labels))

@@ -17,12 +17,13 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .graphs import max_eigenvalue, temporal_diff
+from .graphs import largest_eigenvalue, temporal_diff
 from .prox import prox_sphere_frames
 
 SLAB_FEAS_TOL = 1e-8
 SPHERE_FEAS_TOL = 1e-6
 DEFAULT_EPSILON_SCALE = 1e-6
+POLISH_ROUNDS = 3
 
 
 class StepSizeError(ValueError):
@@ -76,9 +77,8 @@ class SolveResult:
 
     `c` is a read-only (t_len, n) array; `objective` is the objective of `c`,
     while `objective_trace` holds the objectives of the iterates visited.
-    `beta` is the largest-eigenvalue estimate the step sizes were checked against;
-    `beta_converged` is False when its power iteration hit its cap, in which case
-    beta may underestimate the bound.
+    `beta` is the largest eigenvalue of the Laplacians, computed exactly, that the
+    step sizes were checked against.
     """
 
     c: np.ndarray
@@ -87,7 +87,6 @@ class SolveResult:
     objective: float
     objective_trace: np.ndarray
     beta: float
-    beta_converged: bool
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -158,14 +157,15 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _polish(C, Lblock, V, slabs, eps, alpha, rounds: int = 3):
+def _polish(C, Lblock, slabs, eps, alpha):
     """Alternate exact slab projections with the sphere scaling to restore feasibility.
 
-    The directions are near-orthogonal, so a few rounds leave the slab residuals
-    far below the feasibility tolerance while moving the iterate negligibly.
+    The directions are near-orthogonal, so POLISH_ROUNDS rounds leave the slab
+    residuals far below the feasibility tolerance while moving the iterate
+    negligibly.
     """
     out = C.copy()
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         out = prox_sphere_frames(_project_all_slabs(out, slabs, eps))
     t_len, n = out.shape
     LC = (Lblock @ out.ravel()).reshape(t_len, n)
@@ -279,8 +279,8 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
         best_C = C
     # iterates are ranked before polishing, which can lift the best one above the
     # start, so the polished start competes too
-    Cb, polished_obj = _polish(best_C, Lblock, V, slabs, eps, alpha)
-    Cs, start_obj = _polish(C0, Lblock, V, slabs, eps, alpha)
+    Cb, polished_obj = _polish(best_C, Lblock, slabs, eps, alpha)
+    Cs, start_obj = _polish(C0, Lblock, slabs, eps, alpha)
     if start_obj < polished_obj:
         Cb, polished_obj = Cs, start_obj
     return Cb, polished_obj, it, converged, trace
@@ -329,7 +329,7 @@ def pds_solve(
     if np.any(np.linalg.norm(init, axis=1) == 0.0):
         raise ValueError("init frames must be nonzero")
 
-    beta, beta_converged = max_eigenvalue(Ls)
+    beta = largest_eigenvalue(Ls)
     g1_default, g2_default = default_step_sizes(beta, cfg.alpha)
     g1 = cfg.gamma1 if cfg.gamma1 is not None else g1_default
     g2 = cfg.gamma2 if cfg.gamma2 is not None else g2_default
@@ -354,5 +354,4 @@ def pds_solve(
         objective=obj,
         objective_trace=trace,
         beta=beta,
-        beta_converged=beta_converged,
     )

@@ -21,6 +21,7 @@ from tvclust.clustering import (
     static_sc,
     tv_cluster_multi,
 )
+from tvclust.experiments import cloud_to_graphs, make_articulated_cloud
 from tvclust.generators import sbm_static, sbm_tv_sequence, SbmTvParams
 from tvclust.graphs import TVGraphSequence, WeightedGraph, dense_laplacian, smallest_eigenvectors
 from tvclust.metrics import pair_accuracy
@@ -451,6 +452,27 @@ class TestTvClusterMulti:
                     va = emb.vectors[t, :, a]
                     vb = emb.vectors[t, :, b]
                     assert abs(float(va @ vb)) <= (eps + 1e-8) * np.linalg.norm(vb)
+
+    def test_disconnected_cloud_levels_settle_at_once(self, monkeypatch):
+        """On kNN graphs of five far-apart blobs every frame has five components.
+        All levels start from one eigenbasis of the averaged Laplacian, so each
+        start lies in the null space, orthogonal to the earlier levels' starts,
+        and no level needs the warm start's random fallback."""
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"the warm start drew from its generator ({name})")
+
+        real = tvclust.clustering._warm_start
+        monkeypatch.setattr(
+            tvclust.clustering, "_warm_start", lambda *args: real(*args[:-1], NoDraws())
+        )
+        cloud, truth = make_articulated_cloud(12, 8, seed=1)
+        seq = cloud_to_graphs(cloud, 8)
+        est, _, results = tv_cluster_multi(seq, 5, SolverConfig(alpha=1.0, seed=0))
+        assert [(r.iters, r.converged) for r in results] == [(1, True)] * 4
+        for t in range(seq.t_len):
+            assert pair_accuracy(est.frame(t), truth.frame(t)) == 1.0
 
     def test_k_bounds(self, monkeypatch):
         def no_solve(*args):

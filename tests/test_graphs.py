@@ -8,7 +8,7 @@ from tvclust.graphs import (
     WeightedGraph,
     build_laplacian,
     dense_laplacian,
-    max_eigenvalue,
+    largest_eigenvalue,
     quadratic_form,
     smallest_eigenvectors,
     temporal_diff,
@@ -155,33 +155,56 @@ class TestQuadraticForm:
             quadratic_form(L, np.ones(3))
 
 
+def complete_graph(n):
+    return WeightedGraph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+
+
+def star_graph(n):
+    return WeightedGraph(n, [(0, j, 1.0) for j in range(1, n)])
+
+
+def path_graph(n):
+    return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
 class TestMaxEigenvalue:
+    """largest_eigenvalue against closed forms of the Laplacian's lambda_max."""
+
     def test_two_node_unit_edge(self):
         L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        res = max_eigenvalue([L])
-        assert res.converged
-        assert res.value == pytest.approx(2.0, rel=1e-7)
+        assert largest_eigenvalue([L]) == pytest.approx(2.0, rel=1e-12)
 
     def test_complete_graph(self):
-        n = 7
-        g = WeightedGraph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-        res = max_eigenvalue([build_laplacian(g)])
-        assert res.value == pytest.approx(n, rel=1e-7)
+        for n in (2, 3, 7, 30):
+            L = build_laplacian(complete_graph(n))
+            assert largest_eigenvalue([L]) == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 7, 30])
+    def test_star_graph(self, n):
+        assert largest_eigenvalue([build_laplacian(star_graph(n))]) == pytest.approx(
+            n, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30])
+    def test_path_graph(self, n):
+        want = 2.0 + 2.0 * np.cos(np.pi / n)
+        assert largest_eigenvalue([build_laplacian(path_graph(n))]) == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_block_diagonal_maximum(self):
-        L2 = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))  # lambda_max = 2
-        g5 = WeightedGraph(5, [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)])
-        L5 = build_laplacian(g5)  # lambda_max = 5
-        assert max_eigenvalue([L2, L5]).value == pytest.approx(5.0, rel=1e-7)
+        Ls = [build_laplacian(g) for g in (path_graph(6), complete_graph(5), star_graph(4))]
+        assert largest_eigenvalue(Ls) == pytest.approx(5.0, rel=1e-12)
+        assert largest_eigenvalue(Ls[::-1]) == largest_eigenvalue(Ls)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            max_eigenvalue([])
+            largest_eigenvalue([])
 
     def test_zero_matrix(self):
-        res = max_eigenvalue([build_laplacian(WeightedGraph(4))])
-        assert res.converged
-        assert res.value == 0.0
+        value = largest_eigenvalue([build_laplacian(WeightedGraph(4))])
+        assert type(value) is float
+        assert value == 0.0
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(5)
@@ -189,7 +212,7 @@ class TestMaxEigenvalue:
             g = random_graph(rng, int(rng.integers(3, 20)))
             L = build_laplacian(g)
             want = float(np.linalg.eigvalsh(L.toarray()).max())
-            assert max_eigenvalue([L]).value == pytest.approx(want, rel=1e-6, abs=1e-9)
+            assert largest_eigenvalue([L]) == want
 
 
 class TestSmallestEigenvectors:

@@ -9,7 +9,7 @@ from tvclust.graphs import WeightedGraph, dense_laplacian
 from tvclust.metrics import (
     accuracy_report,
     eigengap_profile,
-    mismatch_count,
+    label_changes,
     pair_accuracy,
     ratiocut,
 )
@@ -62,26 +62,37 @@ class TestPairAccuracy:
 
 
 class TestMismatchCount:
+    """label_changes: per frame pair, the nodes whose label differs."""
+
     def test_identical(self):
-        assert mismatch_count(np.array([0, 1, 2]), np.array([0, 1, 2])) == 0
+        assert label_changes(np.array([[0, 1, 2], [0, 1, 2]])).tolist() == [0]
 
     def test_one_changed(self):
-        assert mismatch_count(np.array([0, 1, 2]), np.array([0, 1, 1])) == 1
+        assert label_changes(np.array([[0, 1, 2], [0, 1, 1]])).tolist() == [1]
+
+    def test_single_frame_has_no_pairs(self):
+        assert label_changes(np.array([[0, 1, 2]])).shape == (0,)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
+            t_len = int(rng.integers(1, 6))
             n = int(rng.integers(1, 40))
-            a = rng.integers(0, 3, n)
-            b = rng.integers(0, 3, n)
-            assert mismatch_count(a, b) == sum(int(x != y) for x, y in zip(a, b))
+            labels = rng.integers(0, 3, (t_len, n))
+            want = [
+                sum(int(x != y) for x, y in zip(labels[t], labels[t - 1]))
+                for t in range(1, t_len)
+            ]
+            assert label_changes(labels).tolist() == want
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
     @settings(max_examples=50, deadline=None)
     def test_triangle_bound(self, seed, n):
         rng = np.random.default_rng(seed)
         a, b, c = (rng.integers(0, 3, n) for _ in range(3))
-        assert mismatch_count(a, c) <= mismatch_count(a, b) + mismatch_count(b, c)
+        direct = label_changes(np.stack([a, c]))[0]
+        via_b = label_changes(np.stack([a, b, c])).sum()
+        assert direct <= via_b
 
 
 class TestRatioCut:

@@ -8,10 +8,11 @@ Each --run WORKLOAD:FIRST_SEED:PAIRS runs `<tree>/perfbench/run.py --workload
 WORKLOAD --seed S --seconds RUN_SECONDS --trace 0` once from each tree for every
 seed S from FIRST_SEED on, alternating which tree runs first. RUN_SECONDS is
 run_seconds from the change tree's BENCHMARK.json, so both sides run as the
-benchmark runs them. It fails, and writes nothing, if the two trees'
-pair_accuracy differ on a seed or a run reports a failed check. The output
-holds each side's per-run end-to-end values, their medians and quartiles, the
-pairs the change won, and the machine line run.py printed.
+benchmark runs them. It fails, and writes nothing, if a run reports a failed
+check. A seed on which the two trees' pair_accuracy differ is listed under
+the workload's pair_accuracy_differs as {seed, parent, change}, and the runs go
+on. The output holds each side's per-run end-to-end values, their medians and
+quartiles, the pairs the change won, and the machine line run.py printed.
 """
 
 from __future__ import annotations
@@ -61,6 +62,41 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def run_pairs(run, trees: dict, workload: str, first: int, count: int, seconds: float,
+              better: dict[str, str]) -> tuple[dict, dict]:
+    """(entry, machine): `count` pairs of `run(tree, workload, seed, seconds)` on the
+    "parent" and "change" trees, seeds from `first` on, alternating which side
+    runs first, and the machine line of the last run.
+
+    `run` returns (result, detail) as run_once does. The entry holds the seeds,
+    the side that ran first, the seeds whose pair_accuracy differ and the
+    summarized metrics; a run whose check failed raises SystemExit.
+    """
+    pairs, differs, machine = [], [], None
+    for i in range(count):
+        seed = first + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            result, detail = run(trees[side], workload, seed, seconds)
+            if not result["correct"] or result["failed"]:
+                raise SystemExit(f"{side} {workload} seed {seed}: a check failed")
+            pair[side] = {k: v["value"] for k, v in result["metrics"].items()}
+            machine = detail["machine"]
+        accuracy = {side: pair[side]["pair_accuracy"] for side in ("parent", "change")}
+        if accuracy["parent"] != accuracy["change"]:
+            differs.append({"seed": seed, **accuracy})
+        print(json.dumps(pair), flush=True)
+        pairs.append(pair)
+    entry = {
+        "seeds": [p["seed"] for p in pairs],
+        "first": [p["first"] for p in pairs],
+        "pair_accuracy_differs": differs,
+        "metrics": summarize(pairs, better),
+    }
+    return entry, machine
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
@@ -75,27 +111,10 @@ def main() -> int:
     report = {"seconds": seconds, "machine": None, "workloads": {}}
     for item in args.run:
         workload, first, count = item.split(":")
-        pairs = []
-        for i in range(int(count)):
-            seed = int(first) + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                result, detail = run_once(trees[side], workload, seed, seconds)
-                if not result["correct"] or result["failed"]:
-                    raise SystemExit(f"{side} {workload} seed {seed}: a check failed")
-                pair[side] = {k: v["value"] for k, v in result["metrics"].items()}
-                report["machine"] = report["machine"] or detail["machine"]
-            if pair["parent"]["pair_accuracy"] != pair["change"]["pair_accuracy"]:
-                raise SystemExit(f"{workload} seed {seed}: pair_accuracy differs "
-                                 f"({pair['parent']['pair_accuracy']} != {pair['change']['pair_accuracy']})")
-            print(json.dumps(pair), flush=True)
-            pairs.append(pair)
-        report["workloads"][workload] = {
-            "seeds": [p["seed"] for p in pairs],
-            "first": [p["first"] for p in pairs],
-            "metrics": summarize(pairs, better),
-        }
+        entry, machine = run_pairs(run_once, trees, workload, int(first), int(count), seconds,
+                                   better)
+        report["workloads"][workload] = entry
+        report["machine"] = report["machine"] or machine
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -175,22 +175,28 @@ def _polish(C, Lblock, slabs, eps, alpha):
 def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
     """The splitting iteration from C0, on work buffers allocated once.
 
-    Every array operation is the one the operator definitions (temporal_diff and
-    its adjoint, prox_sphere_frames, prox_conjugate of the slab projection and of
-    soft_threshold) would perform, in the same order, so the iterates are
-    bit-identical to composing those functions; only temporaries are avoided.
+    Both dual steps are prox operators of conjugates, taken in closed form by
+    Moreau's identity. The temporal dual is clipped to [-alpha, alpha]. The slab
+    dual lies in the span of each frame's directions, so it is kept as (t_len,
+    n_dirs) coefficients d: its step soft-thresholds the components of D1/g2 +
+    Chat along the directions by eps, in the sequential order of
+    _project_all_slabs, using the per-frame Gram matrices of the directions.
     """
     t_len, n = C0.shape
+    n_dirs = V.shape[1]
+    gram = np.einsum("tln,tmn->tlm", V, V)
+    vsq = [vl_sq for _, vl_sq in slabs]
     C, Cn = C0.copy(), np.empty_like(C0)
-    D1, D1n = np.zeros_like(C0), np.empty_like(C0)
+    D1, D1n = np.zeros_like(C0), np.empty_like(C0)  # slab dual, sum over l of d[:, l] * V[:, l]
     D2, D2n = np.zeros_like(C0), np.empty_like(C0)
+    d = np.zeros((t_len, n_dirs))
+    coef = np.empty((t_len, n_dirs))
     best_C = np.empty_like(C0)
     step, chat, work = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
     diff = np.zeros_like(C0)  # temporal differences; row 0 stays zero
     diff_rest = diff[1:]
-    scale = np.empty(t_len)
+    scale, thresh = np.empty(t_len), np.empty(t_len)
     sqrt_n = np.sqrt(n)
-    l1_tau = (1.0 / g2) * alpha  # threshold of the l1 prox that prox_conjugate takes at 1/g2
 
     # the sphere constraint makes the problem nonconvex and the iteration can wander,
     # so remember the best-objective iterate seen in case the run does not settle
@@ -208,16 +214,14 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
             np.copyto(best_C, C)
             best_obj = obj
 
-        # primal: C - g1 * (LC + D1 + temporal_diff_adjoint(D2)), scaled onto the sphere
-        step.fill(0.0)
+        # primal: C - g1 * (LC + D1 + temporal_diff_adjoint(D2)), the adjoint added in
+        # place, scaled onto the sphere
+        np.add(LC, D1, out=step)
         step[1:] += D2[1:]
         step[:-1] -= D2[1:]
-        np.add(LC, D1, out=work)
-        np.add(work, step, out=step)
         np.multiply(step, g1, out=step)
         np.subtract(C, step, out=work)
-        np.multiply(work, work, out=step)
-        np.add.reduce(step, axis=1, out=scale)
+        np.einsum("tn,tn->t", work, work, out=scale)
         np.sqrt(scale, out=scale)
         if not scale.all():
             raise SolverError(f"all-zero frame at iteration {it}")
@@ -226,26 +230,29 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
         np.multiply(Cn, 2.0, out=chat)
         np.subtract(chat, C, out=chat)
 
-        # slab dual: z - g2 * proj_slabs(z / g2) at z = D1 + g2 * Chat
-        np.multiply(chat, g2, out=work)
-        np.add(D1, work, out=work)
-        np.divide(work, g2, out=step)
-        _project_all_slabs(step, slabs, eps)
-        np.multiply(step, g2, out=step)
-        np.subtract(work, step, out=D1n)
+        # slab dual: components s of D1/g2 + Chat along the directions, each less the
+        # part already taken by the earlier directions, soft-thresholded by eps and
+        # divided by |v|^2; max and sign pass a NaN on to the non-finite test
+        np.einsum("tn,tln->tl", chat, V, out=coef)
+        coef += np.einsum("tm,tml->tl", d, gram) / g2
+        for l in range(n_dirs):
+            s = coef[:, l]
+            for m in range(l):
+                s -= coef[:, m] * gram[:, m, l]
+            np.abs(s, out=thresh)
+            np.subtract(thresh, eps, out=thresh)
+            np.maximum(thresh, 0.0, out=thresh)
+            np.sign(s, out=s)
+            np.multiply(s, thresh, out=s)
+            np.divide(s, vsq[l], out=s)
+        np.multiply(coef, g2, out=d)
+        np.einsum("tl,tln->tn", d, V, out=D1n)
 
-        # temporal dual: z - g2 * soft_threshold(z / g2, l1_tau) at z = D2 + g2 * diff(Chat)
+        # temporal dual: clip(D2 + g2 * temporal_diff(Chat), -alpha, alpha)
         np.subtract(chat[1:], chat[:-1], out=diff_rest)
         np.multiply(diff, g2, out=work)
         np.add(D2, work, out=work)
-        np.divide(work, g2, out=step)
-        np.abs(step, out=chat)
-        np.subtract(chat, l1_tau, out=chat)
-        np.maximum(0.0, chat, out=chat)
-        np.sign(step, out=step)
-        np.multiply(step, chat, out=step)
-        np.multiply(step, g2, out=step)
-        np.subtract(work, step, out=D2n)
+        np.clip(work, -alpha, alpha, out=D2n)
 
         np.subtract(Cn, C, out=work)
         delta = _norm(work)
@@ -294,8 +301,12 @@ def pds_solve(
 ) -> SolveResult:
     """Run the splitting iteration once from `init`.
 
-    A run stops once the relative changes of the primal and dual iterates are both
-    <= cfg.sigma and the iterate satisfies all frame constraints within tolerance,
+    Each iteration takes a primal step scaled onto the sphere and then the two
+    dual steps in closed form: the temporal dual is clipped to [-alpha, alpha],
+    and the slab dual, held as one coefficient per frame and direction,
+    soft-thresholds the components along the directions by epsilon. A run stops
+    once the relative changes of the primal and dual iterates are both <=
+    cfg.sigma and the iterate satisfies all frame constraints within tolerance,
     or at cfg.max_iters. The `converged` flag reports whether the former happened.
     A settled run returns its final iterate. A capped run re-projects its
     best-objective iterate and its start onto the constraints and returns the

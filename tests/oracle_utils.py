@@ -172,20 +172,43 @@ def _project_slabs_oracle(U, V, Vsq, eps):
     return out
 
 
+def slab_coefficients_oracle(s, G, Vsq, eps):
+    """Coefficients c of the sequential slab projections of frames u along their
+    directions: the projections move u_t by -sum_l c[t, l] * v_tl.
+
+    s[t, l] = <u_t, v_tl> and G holds the per-frame Gram matrices of the
+    directions. Direction l takes its component of what the earlier directions
+    left, soft-thresholded by eps, over |v_l|^2; a NaN component stays NaN."""
+    c = np.zeros_like(s)
+    for l in range(s.shape[1]):
+        sl = s[:, l]
+        for m in range(l):
+            sl = sl - c[:, m] * G[:, m, l]
+        c[:, l] = np.sign(sl) * np.maximum(np.abs(sl) - eps, 0.0) / Vsq[:, l]
+    return c
+
+
 def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
-    """The splitting iteration composed from the operator definitions, allocating
-    every intermediate, as the solver first wrote it. Returns (C, objective,
-    iterations, converged, objective trace) like tvclust.solver._iterate."""
-    from tvclust.graphs import temporal_diff, temporal_diff_adjoint
-    from tvclust.prox import prox_conjugate, prox_sphere_frames, soft_threshold
+    """The splitting iteration written from its definitions, allocating every
+    intermediate. Both dual steps are prox operators of conjugates, in closed form
+    by Moreau's identity: the temporal dual is clipped to [-alpha, alpha], and the
+    slab dual, kept as coefficients d along the directions, soft-thresholds the
+    components of D1/g2 + Chat by eps in the sequential order of the slab
+    projections. Returns (C, objective, iterations, converged, objective trace)
+    like tvclust.solver._iterate."""
+    from tvclust.graphs import temporal_diff
+    from tvclust.prox import prox_sphere_frames
     from tvclust.solver import SolverError, _is_feasible
 
     def objective(C, LC):
         return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
 
     t_len, n = C0.shape
+    n_dirs = V.shape[1]
     Vsq = np.einsum("tln,tln->tl", V, V)
+    G = np.einsum("tln,tmn->tlm", V, V)
     C = C0.copy()
+    d = np.zeros((t_len, n_dirs))
     D1 = np.zeros_like(C)
     D2 = np.zeros_like(C)
     best = None  # (C, objective)
@@ -198,17 +221,20 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         trace[it - 1] = obj
         if best is None or obj < best[1]:
             best = (C, obj)
-        pre = C - g1 * (LC + D1 + temporal_diff_adjoint(D2))
-        if np.any(np.linalg.norm(pre, axis=1) == 0.0):
+        grad = LC + D1
+        grad[1:] += D2[1:]  # temporal_diff_adjoint(D2), added row by row
+        grad[:-1] -= D2[1:]
+        pre = C - g1 * grad
+        norms = np.sqrt(np.einsum("tn,tn->t", pre, pre))
+        if np.any(norms == 0.0):
             raise SolverError(f"all-zero frame at iteration {it}")
-        Cn = prox_sphere_frames(pre)
+        Cn = pre * (np.sqrt(n) / norms)[:, None]
         Chat = 2.0 * Cn - C
-        D1n = prox_conjugate(
-            lambda y, tau: _project_slabs_oracle(y, V, Vsq, eps), g2, D1 + g2 * Chat
-        )
-        D2n = prox_conjugate(
-            lambda y, tau: soft_threshold(y, tau * alpha), g2, D2 + g2 * temporal_diff(Chat)
-        )
+        # D1 = sum_l d_l v_l, so <D1/g2 + Chat, v_l> = <Chat, v_l> + (d G)_l / g2
+        s = np.einsum("tn,tln->tl", Chat, V) + np.einsum("tm,tml->tl", d, G) / g2
+        d = g2 * slab_coefficients_oracle(s, G, Vsq, eps)
+        D1n = np.einsum("tl,tln->tn", d, V)
+        D2n = np.clip(D2 + g2 * temporal_diff(Chat), -alpha, alpha)
         if not (
             np.all(np.isfinite(Cn)) and np.all(np.isfinite(D1n)) and np.all(np.isfinite(D2n))
         ):

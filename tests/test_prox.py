@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracle_utils import slab_oracle, soft_oracle, sphere_oracle
+from oracle_utils import slab_coefficients_oracle, slab_oracle, soft_oracle, sphere_oracle
 from tvclust.prox import prox_conjugate, prox_slab, prox_sphere, soft_threshold
 
 
@@ -120,6 +120,57 @@ class TestProxConjugate:
             x = prox_slab(z, v, eps)
             y = prox_conjugate(lambda w, s: prox_slab(w, v, eps), 1.0, z)
             assert np.abs(x + y - z).max() <= 1e-12
+
+    def test_l1_closed_form_is_clip(self):
+        """The temporal dual step: clip(z, -alpha, alpha) is the conjugate prox of alpha*l1."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            z = rng.standard_normal(8) * rng.uniform(0.01, 100)
+            gamma = float(rng.uniform(0.01, 20))
+            alpha = float(rng.choice([0.0, rng.uniform(0.01, 30)]))
+            want = prox_conjugate(lambda y, tau: soft_threshold(y, tau * alpha), gamma, z)
+            got = np.clip(z, -alpha, alpha)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+
+    @pytest.mark.parametrize("n_dirs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "eps", [0.0, 1e-6 * np.sqrt(6), 0.3, 50.0], ids=["0", "1e-6rootn", "0.3", "50"]
+    )
+    def test_slab_closed_form_matches_composition(self, n_dirs, eps):
+        """The slab dual step: for z = D1 + gamma * u with D1 = sum_l d_l v_l, the
+        conjugate prox of the sequential slab projections is gamma * sum_l c_l v_l,
+        c the soft-thresholded components of z / gamma, got from u, d and the
+        Gram matrix alone."""
+        rng = np.random.default_rng(8 + n_dirs)
+        t_len, n = 12, 6
+        # directions neither orthogonal nor of unit length
+        V = rng.standard_normal((t_len, n_dirs, n)) * rng.uniform(0.3, 3, (t_len, n_dirs, 1))
+        V[:, 1:] += 0.5 * V[:, :1]
+        G = np.einsum("tln,tmn->tlm", V, V)
+        Vsq = np.einsum("tln,tln->tl", V, V)
+        # frame scales from 1e-8 to 1000, and a zero frame, so that frames lie both
+        # inside and outside their slabs
+        scale = np.logspace(-8, 3, t_len)[:, None]
+        scale[0] = 0.0
+        u = rng.standard_normal((t_len, n)) * scale
+        for gamma in (0.05, 1.0, 7.0):
+            d = rng.standard_normal((t_len, n_dirs)) * scale * gamma
+            z = np.einsum("tl,tln->tn", d, V) + gamma * u
+            s = np.einsum("tn,tln->tl", u, V) + np.einsum("tm,tml->tl", d, G) / gamma
+            got = np.einsum("tl,tln->tn", gamma * slab_coefficients_oracle(s, G, Vsq, eps), V)
+
+            def project_slabs(y, tau):
+                out = np.array(y)
+                for t in range(t_len):
+                    for l in range(n_dirs):
+                        out[t] = prox_slab(out[t], V[t, l], eps)
+                return out
+
+            want = prox_conjugate(project_slabs, gamma, z)
+            tol = 1e-12 * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True))
+            assert np.all(np.abs(got - want) <= tol)
+            inside = np.abs(np.einsum("tn,tn->t", z / gamma, V[:, 0])) <= eps
+            assert inside.any() and (eps == 0.0 or not inside.all())
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):

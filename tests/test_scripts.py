@@ -52,12 +52,17 @@ def test_console_script_entry_runs_on_one_blas_thread():
     assert res.stdout.splitlines()[-1] == "THREADS 1"
 
 
-def test_bench_pairs_summary():
-    """Medians, inclusive quartiles and pairs won, on made-up results."""
+def _bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    """Medians, inclusive quartiles and pairs won, on made-up results."""
+    bench_pairs = _bench_pairs()
     parent = [3.0, 1.0, 2.0, 4.0, 5.0]
     change = [2.0, 1.0, 2.5, 3.0, 1.0]
     pairs = [
@@ -72,3 +77,38 @@ def test_bench_pairs_summary():
     assert got["acc"]["better"] == "higher"
     one = bench_pairs.summarize(pairs[:1], {"cpu_s": "lower"})["cpu_s"]
     assert one["parent"]["quartiles"] == [3.0, 3.0]
+
+
+def test_bench_pairs_records_differing_accuracy(capsys):
+    """A seed whose pair_accuracy differs is recorded and the pairs go on; a failed
+    check still stops the run."""
+    bench_pairs = _bench_pairs()
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        acc = 0.5 if tree == "change" and seed == 11 else 0.75
+        result = {"correct": True, "failed": 0,
+                  "metrics": {"wall_s": {"value": float(seed)}, "pair_accuracy": {"value": acc}}}
+        return result, {"machine": {"nproc": 2}}
+
+    trees = {"parent": "parent", "change": "change"}
+    better = {"wall_s": "lower", "pair_accuracy": "higher"}
+    entry, machine = bench_pairs.run_pairs(run, trees, "w", 10, 3, 25, better)
+    assert calls == [("parent", 10), ("change", 10), ("change", 11), ("parent", 11),
+                     ("parent", 12), ("change", 12)]
+    assert entry["seeds"] == [10, 11, 12]
+    assert entry["first"] == ["parent", "change", "parent"]
+    assert entry["pair_accuracy_differs"] == [{"seed": 11, "parent": 0.75, "change": 0.5}]
+    assert entry["metrics"]["pair_accuracy"]["change"]["values"] == [0.75, 0.5, 0.75]
+    assert entry["metrics"]["wall_s"]["tied"] == 3
+    assert machine == {"nproc": 2}
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def failing(tree, workload, seed, seconds):
+        result, detail = run(tree, workload, seed, seconds)
+        result["failed"] = int(tree == "change")
+        return result, detail
+
+    with pytest.raises(SystemExit, match="change w seed 10: a check failed"):
+        bench_pairs.run_pairs(failing, trees, "w", 10, 3, 25, better)

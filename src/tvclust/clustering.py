@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import TVGraphSequence, build_laplacian, dense_laplacian, smallest_eigenvectors
+from .prox import prox_slab_frames, prox_sphere_frames
 from .solver import SolveResult, SolverConfig, pds_solve
 
 # spawn_key tags keep the warm-start, k-means and static-sc streams drawn from
@@ -398,25 +399,19 @@ def _warm_start(x0: np.ndarray, V: np.ndarray, rng) -> np.ndarray:
     sqrt(n), and sign-aligned with the frame before.
 
     A frame where the projection leaves (almost) nothing, because x0 lies in the
-    span of V[t], starts from a random draw of `rng` projected the same way. In
-    tv_cluster_multi x0 is orthogonal to the earlier levels' starts, so this
-    guards against an earlier level's solve ending on x0's direction.
+    span of V[t], starts from a random draw of `rng` projected the same way, drawn
+    in frame order. In tv_cluster_multi x0 is orthogonal to the earlier levels'
+    starts, so this guards against an earlier level's solve ending on x0's
+    direction.
     """
     t_len, _, n = V.shape
-    C = np.empty((t_len, n))
-    for t in range(t_len):
-        x = x0.copy()
-        for attempt in range(2):
-            for v in V[t]:
-                x -= (x @ v) / (v @ v) * v
-            nrm = float(np.linalg.norm(x))
-            if nrm >= 1e-8:
-                break
-            x = rng.standard_normal(n)
-        x *= np.sqrt(n) / np.linalg.norm(x)
-        if t > 0 and float(x @ C[t - 1]) < 0.0:
-            x = -x
-        C[t] = x
+    C = prox_slab_frames(np.tile(x0, (t_len, 1)), V, 0.0)
+    for t in np.flatnonzero(np.linalg.norm(C, axis=1) < 1e-8):
+        C[t] = prox_slab_frames(rng.standard_normal((1, n)), V[t : t + 1], 0.0)[0]
+    C = prox_sphere_frames(C)
+    for t in range(1, t_len):
+        if float(C[t] @ C[t - 1]) < 0.0:
+            C[t] = -C[t]
     return C
 
 

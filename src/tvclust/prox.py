@@ -1,4 +1,4 @@
-"""Proximal operators: sphere scaling, inner-product slab projection, soft thresholding."""
+"""Proximal operators: sphere scaling, sequential slab projection, soft thresholding."""
 
 from __future__ import annotations
 
@@ -25,26 +25,56 @@ def prox_sphere(z) -> np.ndarray:
     return prox_sphere_frames(z[None, :])[0]
 
 
+def slab_coefficients(s: np.ndarray, gram: np.ndarray, eps: float) -> np.ndarray:
+    """Coefficients of the sequential slab projections along each frame's directions.
+
+    `s` holds the (t_len, n_dirs) components <z_t, v_tl> and is overwritten with
+    coefficients c such that projecting z_t onto the slabs |x . v_tl| <= eps, one
+    direction after another, moves it by -sum_l c[t, l] * v_tl. `gram` holds the
+    per-frame Gram matrices of the directions. Direction l takes its component of
+    what the earlier directions left, soft-thresholded by eps, over |v_l|^2; max
+    and sign pass a NaN component on.
+    """
+    for l in range(s.shape[1]):
+        sl = s[:, l]
+        for m in range(l):
+            sl -= s[:, m] * gram[:, m, l]
+        mag = np.abs(sl)
+        mag -= eps
+        np.maximum(mag, 0.0, out=mag)
+        np.sign(sl, out=sl)
+        sl *= mag
+        sl /= gram[:, l, l]
+    return s
+
+
+def prox_slab_frames(Z: np.ndarray, V: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise sequential projections of Z onto the slabs |z_t . v_tl| <= eps.
+
+    V holds the (t_len, n_dirs, n) directions, projected onto in order; a frame
+    inside all of its slabs comes back unchanged.
+    """
+    gram = np.einsum("tln,tmn->tlm", V, V)
+    c = slab_coefficients(np.einsum("tn,tln->tl", Z, V), gram, eps)
+    return Z - np.einsum("tl,tln->tn", c, V)
+
+
 def prox_slab(z, v, eps: float) -> np.ndarray:
     """Euclidean projection onto {x : |x . v| <= eps}."""
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
     if z.shape != v.shape or z.ndim != 1:
         raise ValueError("z and v must be 1-D vectors of equal length")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    vv = float(v @ v)
-    if vv == 0.0:
+    if float(v @ v) == 0.0:
         raise ValueError("constraint direction must be nonzero")
-    s = float(z @ v)
-    if abs(s) <= eps:
-        return z.copy()
-    return z - ((s - np.sign(s) * eps) / vv) * v
+    return prox_slab_frames(z[None], v[None, None], eps)[0]
 
 
 def soft_threshold(z, tau: float) -> np.ndarray:
     """Elementwise sgn(z) * max(0, |z| - tau)."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(0.0, np.abs(z) - tau)
@@ -57,7 +87,7 @@ def prox_conjugate(prox_of_f, gamma: float, z) -> np.ndarray:
     the result is elementwise clipping of z to [-alpha, alpha]; for an indicator
     of a set S it is z - gamma * proj_S(z / gamma).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     z = np.asarray(z, dtype=float)
     return z - gamma * prox_of_f(z / gamma, 1.0 / gamma)

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 from .graphs import largest_eigenvalue, temporal_diff
-from .prox import prox_sphere_frames
+from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
 SPHERE_FEAS_TOL = 1e-6
@@ -119,25 +119,6 @@ def check_step_sizes(gamma1: float, gamma2: float, beta: float) -> None:
         )
 
 
-def _project_all_slabs(out: np.ndarray, slabs, eps: float) -> np.ndarray:
-    """Sequential per-direction slab projections of the rows of `out`, in place.
-
-    `slabs` holds one (directions, squared norms) pair per constraint direction,
-    the directions a contiguous (t_len, n) array. Frames already inside a slab
-    stay as they are; usually every frame lies outside, and then no frame needs
-    selecting.
-    """
-    for vl, vsq in slabs:
-        s = np.einsum("tn,tn->t", out, vl)
-        over = np.abs(s) > eps
-        if over.all():
-            out -= ((s - np.sign(s) * eps) / vsq)[:, None] * vl
-        elif over.any():
-            coef = (s[over] - np.sign(s[over]) * eps) / vsq[over]
-            out[over] -= coef[:, None] * vl[over]
-    return out
-
-
 def _is_feasible(C: np.ndarray, V: np.ndarray, eps: float) -> bool:
     n = C.shape[1]
     sq = np.einsum("tn,tn->t", C, C)
@@ -157,35 +138,34 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _polish(C, Lblock, slabs, eps, alpha):
-    """Alternate exact slab projections with the sphere scaling to restore feasibility.
+def _polish(C, Lblock, V, eps, alpha):
+    """Alternate prox.prox_slab_frames with the sphere scaling to restore feasibility.
 
     The directions are near-orthogonal, so POLISH_ROUNDS rounds leave the slab
     residuals far below the feasibility tolerance while moving the iterate
     negligibly.
     """
-    out = C.copy()
+    out = C
     for _ in range(POLISH_ROUNDS):
-        out = prox_sphere_frames(_project_all_slabs(out, slabs, eps))
+        out = prox_sphere_frames(prox_slab_frames(out, V, eps))
     t_len, n = out.shape
     LC = (Lblock @ out.ravel()).reshape(t_len, n)
     return out, _objective(out, LC, alpha)
 
 
-def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
+def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     """The splitting iteration from C0, on work buffers allocated once.
 
     Both dual steps are prox operators of conjugates, taken in closed form by
     Moreau's identity. The temporal dual is clipped to [-alpha, alpha]. The slab
     dual lies in the span of each frame's directions, so it is kept as (t_len,
-    n_dirs) coefficients d: its step soft-thresholds the components of D1/g2 +
-    Chat along the directions by eps, in the sequential order of
-    _project_all_slabs, using the per-frame Gram matrices of the directions.
+    n_dirs) coefficients d: its step is prox.slab_coefficients on the components
+    of D1/g2 + Chat along the directions, the same kernel that _polish projects
+    with, using the per-frame Gram matrices of the directions.
     """
     t_len, n = C0.shape
     n_dirs = V.shape[1]
     gram = np.einsum("tln,tmn->tlm", V, V)
-    vsq = [vl_sq for _, vl_sq in slabs]
     C, Cn = C0.copy(), np.empty_like(C0)
     D1, D1n = np.zeros_like(C0), np.empty_like(C0)  # slab dual, sum over l of d[:, l] * V[:, l]
     D2, D2n = np.zeros_like(C0), np.empty_like(C0)
@@ -195,7 +175,7 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
     step, chat, work = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
     diff = np.zeros_like(C0)  # temporal differences; row 0 stays zero
     diff_rest = diff[1:]
-    scale, thresh = np.empty(t_len), np.empty(t_len)
+    scale = np.empty(t_len)
     sqrt_n = np.sqrt(n)
 
     # the sphere constraint makes the problem nonconvex and the iteration can wander,
@@ -230,21 +210,12 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
         np.multiply(Cn, 2.0, out=chat)
         np.subtract(chat, C, out=chat)
 
-        # slab dual: components s of D1/g2 + Chat along the directions, each less the
-        # part already taken by the earlier directions, soft-thresholded by eps and
-        # divided by |v|^2; max and sign pass a NaN on to the non-finite test
+        # slab dual: the sequential slab coefficients of D1/g2 + Chat, whose
+        # components along the directions come from Chat, d and the Gram matrices;
+        # a NaN component passes on to the non-finite test
         np.einsum("tn,tln->tl", chat, V, out=coef)
         coef += np.einsum("tm,tml->tl", d, gram) / g2
-        for l in range(n_dirs):
-            s = coef[:, l]
-            for m in range(l):
-                s -= coef[:, m] * gram[:, m, l]
-            np.abs(s, out=thresh)
-            np.subtract(thresh, eps, out=thresh)
-            np.maximum(thresh, 0.0, out=thresh)
-            np.sign(s, out=s)
-            np.multiply(s, thresh, out=s)
-            np.divide(s, vsq[l], out=s)
+        slab_coefficients(coef, gram, eps)
         np.multiply(coef, g2, out=d)
         np.einsum("tl,tln->tn", d, V, out=D1n)
 
@@ -286,8 +257,8 @@ def _iterate(Lblock, V, slabs, eps, alpha, g1, g2, sigma, max_iters, C0):
         best_C = C
     # iterates are ranked before polishing, which can lift the best one above the
     # start, so the polished start competes too
-    Cb, polished_obj = _polish(best_C, Lblock, slabs, eps, alpha)
-    Cs, start_obj = _polish(C0, Lblock, slabs, eps, alpha)
+    Cb, polished_obj = _polish(best_C, Lblock, V, eps, alpha)
+    Cs, start_obj = _polish(C0, Lblock, V, eps, alpha)
     if start_obj < polished_obj:
         Cb, polished_obj = Cs, start_obj
     return Cb, polished_obj, it, converged, trace
@@ -303,15 +274,16 @@ def pds_solve(
 
     Each iteration takes a primal step scaled onto the sphere and then the two
     dual steps in closed form: the temporal dual is clipped to [-alpha, alpha],
-    and the slab dual, held as one coefficient per frame and direction,
-    soft-thresholds the components along the directions by epsilon. A run stops
+    and the slab dual, held as one coefficient per frame and direction, takes
+    the sequential slab coefficients of prox.slab_coefficients. A run stops
     once the relative changes of the primal and dual iterates are both <=
     cfg.sigma and the iterate satisfies all frame constraints within tolerance,
     or at cfg.max_iters. The `converged` flag reports whether the former happened.
     A settled run returns its final iterate. A capped run re-projects its
-    best-objective iterate and its start onto the constraints and returns the
-    one of lower objective, the re-projected iterate when they tie, so it never
-    ends above its re-projected start. `directions` is the (t_len, n_dirs, n)
+    best-objective iterate and its start onto the constraints, with the same
+    slab kernel and the sphere scaling in turn, and returns the one of lower
+    objective, the re-projected iterate when they tie, so it never ends above
+    its re-projected start. `directions` is the (t_len, n_dirs, n)
     array of nonzero constraint directions, used as given, so an all-ones
     direction bounds the plain coordinate sum. `init` is the (t_len, n) start,
     finite and with no all-zero frame. SolverError reports a non-finite iterate
@@ -348,15 +320,10 @@ def pds_solve(
     eps = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * np.sqrt(n)
 
     Lblock = scipy.sparse.block_diag(Ls, format="csr")
-    Vsq = np.einsum("tln,tln->tl", V, V)
-    slabs = [
-        (np.ascontiguousarray(V[:, l]), np.ascontiguousarray(Vsq[:, l]))
-        for l in range(V.shape[1])
-    ]
 
     C0 = np.asarray(init, dtype=float)
     C, obj, iters, converged, trace = _iterate(
-        Lblock, V, slabs, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0
+        Lblock, V, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0
     )
     return SolveResult(
         c=C,

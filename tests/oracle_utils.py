@@ -160,18 +160,6 @@ def kmeans_oracle(points, k, seed, restarts=50, max_iters=300):
     return best_assign
 
 
-def _project_slabs_oracle(U, V, Vsq, eps):
-    out = np.array(U, dtype=float)
-    for l in range(V.shape[1]):
-        vl = V[:, l, :]
-        s = np.einsum("tn,tn->t", out, vl)
-        over = np.abs(s) > eps
-        if np.any(over):
-            coef = (s[over] - np.sign(s[over]) * eps) / Vsq[over, l]
-            out[over] -= coef[:, None] * vl[over]
-    return out
-
-
 def slab_coefficients_oracle(s, G, Vsq, eps):
     """Coefficients c of the sequential slab projections of frames u along their
     directions: the projections move u_t by -sum_l c[t, l] * v_tl.
@@ -258,9 +246,31 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
 
     def polished(out):
         for _ in range(3):
-            out = prox_sphere_frames(_project_slabs_oracle(out, V, Vsq, eps))
+            c = slab_coefficients_oracle(np.einsum("tn,tln->tl", out, V), G, Vsq, eps)
+            out = prox_sphere_frames(out - np.einsum("tl,tln->tn", c, V))
         return out, objective(out, (Lblock @ out.ravel()).reshape(t_len, n))
 
     # the polished start wins only when strictly lower
     out, out_obj = min(polished(best[0]), polished(C0), key=lambda p: p[1])
     return out, out_obj, it, converged, trace[: it + 1].copy()
+
+
+def warm_start_oracle(x0, V, rng):
+    """Frame by frame: x0 projected off each direction of V[t] in turn, a draw of
+    rng projected the same way where that leaves a norm below 1e-8, scaled to norm
+    sqrt(n) and sign-aligned with the frame before."""
+    t_len, _, n = V.shape
+    C = np.empty((t_len, n))
+    for t in range(t_len):
+        x = np.array(x0, dtype=float)
+        for _ in range(2):
+            for v in V[t]:
+                x -= (x @ v) / (v @ v) * v
+            if float(np.linalg.norm(x)) >= 1e-8:
+                break
+            x = rng.standard_normal(n)
+        x *= np.sqrt(n) / np.linalg.norm(x)
+        if t > 0 and float(x @ C[t - 1]) < 0.0:
+            x = -x
+        C[t] = x
+    return C

@@ -31,10 +31,7 @@ _EXPORTS = {
     "build_laplacian": "graphs",
     "dense_laplacian": "graphs",
     "largest_eigenvalue": "graphs",
-    "quadratic_form": "graphs",
     "smallest_eigenvectors": "graphs",
-    "temporal_diff": "graphs",
-    "temporal_diff_adjoint": "graphs",
     "AccuracyReport": "metrics",
     "accuracy_report": "metrics",
     "eigengap_profile": "metrics",

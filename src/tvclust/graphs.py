@@ -1,4 +1,4 @@
-"""Graph containers, Laplacians, eigensolvers, and the frame-difference operator."""
+"""Graph containers, Laplacians and eigensolvers."""
 
 from __future__ import annotations
 
@@ -67,14 +67,6 @@ class WeightedGraph:
         np.add.at(d, self._i, self._w)
         np.add.at(d, self._j, self._w)
         return d
-
-    def adjacency(self) -> scipy.sparse.csr_matrix:
-        import scipy.sparse
-
-        rows = np.concatenate([self._i, self._j])
-        cols = np.concatenate([self._j, self._i])
-        vals = np.concatenate([self._w, self._w])
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -150,14 +142,6 @@ def dense_laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
-def quadratic_form(L: scipy.sparse.csr_matrix, f) -> float:
-    """f' L f, the edge-weighted sum of squared signal differences (halved double sum)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (L.shape[0],):
-        raise ValueError(f"signal has shape {f.shape}, expected ({L.shape[0]},)")
-    return float(f @ (L @ f))
-
-
 def largest_eigenvalue(Ls: Sequence[scipy.sparse.csr_matrix]) -> float:
     """Largest eigenvalue of a block-diagonal family: the maximum over its blocks
     of the top eigenvalue of ``np.linalg.eigvalsh`` on the dense block.
@@ -190,17 +174,3 @@ def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray
     vals, vecs = np.linalg.eigh(L)
     return vals[:m].copy(), vecs[:, :m].copy()
 
-
-def temporal_diff(frames: np.ndarray) -> np.ndarray:
-    """Frame 0 maps to zero; frame t >= 1 maps to frames[t] - frames[t-1]."""
-    out = np.zeros_like(frames)
-    out[1:] = frames[1:] - frames[:-1]
-    return out
-
-
-def temporal_diff_adjoint(frames: np.ndarray) -> np.ndarray:
-    """Adjoint of temporal_diff; frame 0 of the input never contributes."""
-    out = np.zeros_like(frames)
-    out[1:] += frames[1:]
-    out[:-1] -= frames[1:]
-    return out

@@ -17,7 +17,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .graphs import largest_eigenvalue, temporal_diff
+from .graphs import largest_eigenvalue
 from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
@@ -128,8 +128,16 @@ def _is_feasible(C: np.ndarray, V: np.ndarray, eps: float) -> bool:
     return bool(np.all(np.abs(dots) <= eps + SLAB_FEAS_TOL))
 
 
-def _objective(C: np.ndarray, LC: np.ndarray, alpha: float) -> float:
-    return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
+def _objective(C: np.ndarray, LC: np.ndarray, alpha: float, diff: np.ndarray) -> float:
+    """0.5 * c'Lc + alpha * ||frame differences||_1, the one objective of a solve.
+
+    `diff` is the caller's (t_len, n) work buffer with row 0 zero; rows 1.. are
+    overwritten with |C[t] - C[t-1]| and row 0 is left as it is.
+    """
+    diff_rest = diff[1:]
+    np.subtract(C[1:], C[:-1], out=diff_rest)
+    np.abs(diff_rest, out=diff_rest)
+    return 0.5 * float(np.vdot(C, LC)) + alpha * float(diff.sum())
 
 
 def _norm(x: np.ndarray) -> float:
@@ -150,7 +158,7 @@ def _polish(C, Lblock, V, eps, alpha):
         out = prox_sphere_frames(prox_slab_frames(out, V, eps))
     t_len, n = out.shape
     LC = (Lblock @ out.ravel()).reshape(t_len, n)
-    return out, _objective(out, LC, alpha)
+    return out, _objective(out, LC, alpha, np.zeros_like(out))
 
 
 def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
@@ -186,16 +194,15 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        np.subtract(C[1:], C[:-1], out=diff_rest)
-        np.abs(diff, out=diff)
-        obj = 0.5 * float(C.ravel().dot(LC.ravel())) + alpha * float(diff.sum())
+        obj = _objective(C, LC, alpha, diff)
         trace[it - 1] = obj
         if best_obj is None or obj < best_obj:
             np.copyto(best_C, C)
             best_obj = obj
 
-        # primal: C - g1 * (LC + D1 + temporal_diff_adjoint(D2)), the adjoint added in
-        # place, scaled onto the sphere
+        # primal: C - g1 * (LC + D1 + Dt(D2)), scaled onto the sphere; D maps frame 0
+        # to zero and frame t to its difference from frame t-1, and its adjoint Dt
+        # is added in place
         np.add(LC, D1, out=step)
         step[1:] += D2[1:]
         step[:-1] -= D2[1:]
@@ -219,7 +226,7 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         np.multiply(coef, g2, out=d)
         np.einsum("tl,tln->tn", d, V, out=D1n)
 
-        # temporal dual: clip(D2 + g2 * temporal_diff(Chat), -alpha, alpha)
+        # temporal dual: clip(D2 + g2 * D(Chat), -alpha, alpha)
         np.subtract(chat[1:], chat[:-1], out=diff_rest)
         np.multiply(diff, g2, out=work)
         np.add(D2, work, out=work)
@@ -247,7 +254,7 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         if primal_settled and dual_settled and _is_feasible(C, V, eps):
             converged = True
             break
-    obj = _objective(C, LC, alpha)
+    obj = _objective(C, LC, alpha, diff)
     trace[it] = obj
     trace = trace[: it + 1].copy()
     if converged:
@@ -283,7 +290,13 @@ def pds_solve(
     best-objective iterate and its start onto the constraints, with the same
     slab kernel and the sphere scaling in turn, and returns the one of lower
     objective, the re-projected iterate when they tie, so it never ends above
-    its re-projected start. `directions` is the (t_len, n_dirs, n)
+    its re-projected start. The re-projection runs POLISH_ROUNDS rounds of
+    slab projection and sphere scaling, which reach the slabs only when each
+    frame's directions are near-orthogonal, as tv_cluster_multi builds them.
+    With strongly correlated directions a capped run can return an iterate far
+    outside its slabs, and no error is raised: with directions ones and
+    ones + 0.3 * u (u standard normal, n = 20), |c_t . v| reaches about 2
+    against eps = 4.5e-6. `directions` is the (t_len, n_dirs, n)
     array of nonzero constraint directions, used as given, so an all-ones
     direction bounds the plain coordinate sum. `init` is the (t_len, n) start,
     finite and with no all-zero frame. SolverError reports a non-finite iterate

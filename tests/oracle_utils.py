@@ -176,6 +176,14 @@ def slab_coefficients_oracle(s, G, Vsq, eps):
     return c
 
 
+def objective_oracle(Ls, C, alpha):
+    """The tv-pds objective from its definition: half the sum over frames of
+    c_t' L_t c_t, plus alpha times the sum of |c_t - c_{t-1}| over t >= 1."""
+    cut = sum(float(c @ (L @ c)) for L, c in zip(Ls, C))
+    tv = sum(float(np.abs(C[t] - C[t - 1]).sum()) for t in range(1, len(C)))
+    return 0.5 * cut + alpha * tv
+
+
 def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     """The splitting iteration written from its definitions, allocating every
     intermediate. Both dual steps are prox operators of conjugates, in closed form
@@ -184,12 +192,17 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     components of D1/g2 + Chat by eps in the sequential order of the slab
     projections. Returns (C, objective, iterations, converged, objective trace)
     like tvclust.solver._iterate."""
-    from tvclust.graphs import temporal_diff
     from tvclust.prox import prox_sphere_frames
     from tvclust.solver import SolverError, _is_feasible
 
+    def frame_diff(C):
+        # frame 0 maps to zero, frame t to C[t] - C[t-1]
+        out = np.zeros_like(C)
+        out[1:] = C[1:] - C[:-1]
+        return out
+
     def objective(C, LC):
-        return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(temporal_diff(C)).sum())
+        return 0.5 * float(np.vdot(C, LC)) + alpha * float(np.abs(frame_diff(C)).sum())
 
     t_len, n = C0.shape
     n_dirs = V.shape[1]
@@ -210,7 +223,7 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         if best is None or obj < best[1]:
             best = (C, obj)
         grad = LC + D1
-        grad[1:] += D2[1:]  # temporal_diff_adjoint(D2), added row by row
+        grad[1:] += D2[1:]  # the adjoint of frame_diff applied to D2, added row by row
         grad[:-1] -= D2[1:]
         pre = C - g1 * grad
         norms = np.sqrt(np.einsum("tn,tn->t", pre, pre))
@@ -222,7 +235,7 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         s = np.einsum("tn,tln->tl", Chat, V) + np.einsum("tm,tml->tl", d, G) / g2
         d = g2 * slab_coefficients_oracle(s, G, Vsq, eps)
         D1n = np.einsum("tl,tln->tn", d, V)
-        D2n = np.clip(D2 + g2 * temporal_diff(Chat), -alpha, alpha)
+        D2n = np.clip(D2 + g2 * frame_diff(Chat), -alpha, alpha)
         if not (
             np.all(np.isfinite(Cn)) and np.all(np.isfinite(D1n)) and np.all(np.isfinite(D2n))
         ):

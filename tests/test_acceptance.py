@@ -236,7 +236,7 @@ def test_c09_generator_statistics():
     for t, g in enumerate(seq.graphs):
         lab = labels.frame(t)
         same = lab[iu] == lab[ju]
-        adj = g.adjacency().toarray()[iu, ju] > 0
+        adj = dense_laplacian(g)[iu, ju] < 0
         intra_count += int((adj & same).sum())
         inter_count += int((adj & ~same).sum())
         intra_pairs += int(same.sum())

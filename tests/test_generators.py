@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
+from tvclust.graphs import dense_laplacian
 
 
 class TestParams:
@@ -102,8 +103,8 @@ class TestSbmTvSequence:
         intra = lab[iu] == lab[ju]
         joint = 0
         for t in range(1, params.t_len):
-            a = seq.graphs[t - 1].adjacency().toarray()[iu, ju] > 0
-            b = seq.graphs[t].adjacency().toarray()[iu, ju] > 0
+            a = dense_laplacian(seq.graphs[t - 1])[iu, ju] < 0
+            b = dense_laplacian(seq.graphs[t])[iu, ju] < 0
             joint += int((a & b & intra).sum())
         trials = int(intra.sum()) * (params.t_len - 1)
         p2 = params.p_intra**2

@@ -9,10 +9,7 @@ from tvclust.graphs import (
     build_laplacian,
     dense_laplacian,
     largest_eigenvalue,
-    quadratic_form,
     smallest_eigenvectors,
-    temporal_diff,
-    temporal_diff_adjoint,
 )
 
 
@@ -93,7 +90,7 @@ class TestBuildLaplacian:
         L = build_laplacian(g)
         for _ in range(50):
             x = rng.standard_normal(10)
-            assert quadratic_form(L, x) >= -1e-10 * float(x @ x)
+            assert float(x @ (L @ x)) >= -1e-10 * float(x @ x)
 
 
 class TestDenseLaplacian:
@@ -130,14 +127,18 @@ class TestDenseLaplacian:
 
 
 class TestQuadraticForm:
+    """The quadratic form x'Lx of build_laplacian's matrix."""
+
     def test_constant_signal_is_zero(self):
         g = WeightedGraph(4, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
         L = build_laplacian(g)
-        assert abs(quadratic_form(L, np.full(4, 3.7))) < 1e-12
+        x = np.full(4, 3.7)
+        assert abs(float(x @ (L @ x))) < 1e-12
 
     def test_two_node_antipodal(self):
         L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        assert quadratic_form(L, np.array([1.0, -1.0])) == pytest.approx(4.0, abs=1e-12)
+        x = np.array([1.0, -1.0])
+        assert float(x @ (L @ x)) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(7)
@@ -145,14 +146,9 @@ class TestQuadraticForm:
             n = int(rng.integers(2, 12))
             g = random_graph(rng, n)
             f = rng.standard_normal(n)
-            got = quadratic_form(build_laplacian(g), f)
+            got = float(f @ (build_laplacian(g) @ f))
             want = quad_double_sum(g, f)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        with pytest.raises(ValueError):
-            quadratic_form(L, np.ones(3))
 
 
 def complete_graph(n):
@@ -279,54 +275,6 @@ class TestSmallestEigenvectors:
         assert vals.base is None and vecs.base is None
         assert vecs.flags.c_contiguous
         assert np.array_equal(vals, full_vals[:3]) and np.array_equal(vecs, full_vecs[:, :3])
-
-
-class TestTemporalDiff:
-    def test_stationary_sequence_maps_to_zero(self):
-        c = np.tile([1.0, 2.0, 3.0], (4, 1))
-        assert np.array_equal(temporal_diff(c), np.zeros((4, 3)))
-
-    def test_single_frame_maps_to_zero(self):
-        c = np.array([[5.0, -1.0]])
-        assert np.array_equal(temporal_diff(c), np.zeros((1, 2)))
-
-    def test_two_frames_by_hand(self):
-        c = np.array([[1.0, 1.0], [3.0, 0.0]])
-        assert np.array_equal(temporal_diff(c), [[0.0, 0.0], [2.0, -1.0]])
-
-    def test_adjoint_zero(self):
-        d = np.zeros((2, 3))
-        assert np.array_equal(temporal_diff_adjoint(d), np.zeros((2, 3)))
-
-    def test_adjoint_two_frames_by_hand(self):
-        d = np.array([[0.0, 0.0], [2.0, -1.0]])
-        assert np.array_equal(temporal_diff_adjoint(d), [[-2.0, 1.0], [2.0, -1.0]])
-
-    @given(
-        t_len=st.integers(1, 6),
-        n=st.integers(1, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_adjoint_identity(self, t_len, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((t_len, n))
-        y = rng.standard_normal((t_len, n))
-        lhs = float(np.vdot(temporal_diff(x), y))
-        rhs = float(np.vdot(x, temporal_diff_adjoint(y)))
-        scale = max(1.0, abs(lhs))
-        assert abs(lhs - rhs) <= 1e-12 * scale
-
-    @given(
-        t_len=st.integers(1, 6),
-        n=st.integers(1, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_operator_norm_bound(self, t_len, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((t_len, n))
-        assert np.linalg.norm(temporal_diff(x)) <= 2.0 * np.linalg.norm(x) + 1e-12
 
 
 class TestContainers:

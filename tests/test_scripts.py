@@ -1,4 +1,5 @@
-"""The example scripts and the console-script entry start and print their help."""
+"""The example scripts and the console-script entry start and print their help;
+the point-cloud example prints aligned label changes."""
 
 import importlib
 import importlib.util
@@ -24,6 +25,22 @@ def test_script_help_runs(script):
     )
     assert res.returncode == 0, res.stderr
     assert "usage:" in res.stdout
+
+
+def test_pointcloud_toy_counts_aligned_label_changes():
+    """k-means numbers the clusters of each frame afresh, so the printed label
+    changes are counted after chain alignment: static-sc on a cloud of rigid
+    parts recovers every frame and changes no label."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["--n-per-part", "6", "--t-len", "4", "--k", "4", "--seed", "0"]
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_pointcloud_toy.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    (line,) = [ln for ln in res.stdout.splitlines() if ln.startswith("static-sc:")]
+    assert "mean pair accuracy 1.0000" in line
+    assert line.endswith("label changes after alignment 0")
 
 
 def test_console_script_entry_runs_on_one_blas_thread():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tvclust.solver
-from oracle_utils import pds_iterate_oracle
+from oracle_utils import objective_oracle, pds_iterate_oracle
 from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
 from tvclust.graphs import (
     TVGraphSequence,
@@ -15,9 +15,7 @@ from tvclust.graphs import (
     build_laplacian,
     dense_laplacian,
     largest_eigenvalue,
-    quadratic_form,
     smallest_eigenvectors,
-    temporal_diff,
 )
 from tvclust.clustering import _warm_start, tv_cluster_multi
 from tvclust.solver import (
@@ -193,6 +191,26 @@ class TestIterateMatchesOperatorComposition:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_matches_definition(self, t_len):
+        """The one objective of a solve, against the sum over frames and frame pairs;
+        the difference buffer keeps row 0 at zero and has |C[t] - C[t-1]| below it."""
+        rng = np.random.default_rng(t_len)
+        n = 12
+        Ls = [build_laplacian(sbm_static(rng.integers(0, 3, n), 0.7, 0.3, rng))
+              for _ in range(t_len)]
+        C = rng.standard_normal((t_len, n))
+        LC = np.stack([L @ c for L, c in zip(Ls, C)])
+        alpha = float(rng.uniform(0.1, 5.0))
+        diff = np.zeros((t_len, n))
+        diff[1:] = rng.standard_normal((t_len - 1, n))  # stale contents are overwritten
+        got = tvclust.solver._objective(C, LC, alpha, diff)
+        assert got == pytest.approx(objective_oracle(Ls, C, alpha), rel=1e-12)
+        assert not diff[0].any()
+        assert np.array_equal(diff[1:], np.abs(C[1:] - C[:-1]))
 
 
 class TestPdsSolve:
@@ -402,7 +420,6 @@ class TestPdsSolve:
         cfg = SolverConfig(alpha=2.0, seed=4, max_iters=200)
         _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert not res.converged
-        quad = sum(quadratic_form(build_laplacian(g), c) for g, c in zip(seq.graphs, res.c))
-        want = 0.5 * quad + cfg.alpha * float(np.abs(temporal_diff(res.c)).sum())
+        want = objective_oracle([build_laplacian(g) for g in seq.graphs], res.c, cfg.alpha)
         assert res.objective == pytest.approx(want, rel=1e-12)
         assert res.objective_trace[-1] != pytest.approx(want, rel=1e-3)

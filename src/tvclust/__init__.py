@@ -49,7 +49,6 @@ _EXPORTS = {
     "SolveResult": "solver",
     "SolverConfig": "solver",
     "SolverError": "solver",
-    "StepSizeError": "solver",
     "pds_solve": "solver",
 }
 

@@ -1,7 +1,9 @@
 """Command line interface: dataset synthesis, clustering runs, evaluation, diagnostics.
 
-Exit codes: 0 success, 1 validation error (bad parameters, unreadable/unwritable
-paths, shape mismatches), 2 runtime failure (solver breakdown and other errors).
+Exit codes: 0 success, 1 validation error (bad parameters or config keys,
+unreadable/unwritable paths, shape mismatches), 2 runtime failure (solver
+breakdown and other errors) and command-line usage errors, which click reports
+(an unknown flag, or a flag value of the wrong type).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .solver import SolverConfig
 
 _SBM_DEFAULTS = dataclasses.asdict(DENSE_FULL)
 _SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
+# one config file may serve every command, so each accepts the keys any of them reads
+_CONFIG_KEYS = {*_SBM_DEFAULTS, *_SOLVER_DEFAULTS, "trials", "k"}
 
 
 def _guarded(f):
@@ -56,19 +60,20 @@ def _load_config(path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object of flat keys")
+    unknown = sorted(data.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
 def _pick(flag, config: dict, key: str, default):
     """Explicit CLI flag first, then config file, then the built-in default.
 
-    Returns an int where the default is an int and a float otherwise; None passes
-    only where the default is None. Any other value, or a fractional one for an
-    int, raises a ValueError naming the key.
+    Returns an int where the default is an int and a float otherwise. Any other
+    value, null included, or a fractional one for an int, raises a ValueError
+    naming the key.
     """
     value = flag if flag is not None else config.get(key, default)
-    if value is None and default is None:
-        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     if isinstance(default, int):
@@ -145,10 +150,6 @@ def _inputs(path, suffix: str) -> list[Path]:
 @click.option("--method", type=click.Choice(["static-sc", "tv-pds"]), required=True)
 @click.option("--k", type=int, default=None, help="number of clusters (default 2)")
 @click.option("--alpha", type=float, default=None)
-@click.option("--gamma1", type=float, default=None)
-@click.option("--gamma2", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
 @click.option("--max-iters", "max_iters", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))

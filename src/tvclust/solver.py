@@ -24,10 +24,7 @@ SLAB_FEAS_TOL = 1e-8
 SPHERE_FEAS_TOL = 1e-6
 DEFAULT_EPSILON_SCALE = 1e-6
 POLISH_ROUNDS = 3
-
-
-class StepSizeError(ValueError):
-    """Raised when the admissibility condition 1/gamma1 - 5*gamma2 >= beta/2 fails."""
+SIGMA = 1e-5  # relative change of the primal and dual iterates at which a solve settles
 
 
 class SolverError(RuntimeError):
@@ -36,37 +33,25 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solve parameters; gamma1/gamma2/epsilon default from the data at solve time.
+    """Solve parameters; the step sizes and the slab half-width come from the data.
 
-    The solve itself draws no random numbers. `seed` seeds only the drivers
-    around it: the fallback of the warm start and the k-means on the cluster
-    vectors in `tv_cluster_multi`.
+    A solve derives gamma1 and gamma2 from beta and alpha (default_step_sizes)
+    and the slab half-width as DEFAULT_EPSILON_SCALE * sqrt(n), and stops on the
+    relative change SIGMA. The solve itself draws no random numbers. `seed`
+    seeds only the drivers around it: the fallback of the warm start and the
+    k-means on the cluster vectors in `tv_cluster_multi`.
     """
 
     alpha: float = 1.0
-    gamma1: float | None = None
-    gamma2: float | None = None
-    epsilon: float | None = None
-    sigma: float = 1e-5
     max_iters: int = 20000
     seed: int = 0
 
     def __post_init__(self):
-        # NaN passes every comparison below, so finiteness is checked first
-        for name in ("alpha", "gamma1", "gamma2", "epsilon", "sigma"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        # NaN passes the comparison below, so finiteness is checked first
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.gamma1 is not None and self.gamma1 <= 0:
-            raise ValueError("gamma1 must be > 0")
-        if self.gamma2 is not None and self.gamma2 <= 0:
-            raise ValueError("gamma2 must be > 0")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -78,7 +63,7 @@ class SolveResult:
     `c` is a read-only (t_len, n) array; `objective` is the objective of `c`,
     while `objective_trace` holds the objectives of the iterates visited.
     `beta` is the largest eigenvalue of the Laplacians, computed exactly, that the
-    step sizes were checked against.
+    step sizes were derived from.
     """
 
     c: np.ndarray
@@ -95,28 +80,17 @@ class SolveResult:
 
 
 def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
-    """gamma1 = 1/(beta + 8*alpha), gamma2 = beta/10.
+    """gamma1 = 1/(beta + 8*alpha), gamma2 = beta/10, the step sizes of every solve.
 
     The alpha term keeps the primal step times the temporal dual field (entries
     bounded by 2*alpha) a fraction of the unit entry scale; without it the sphere
     projection amplifies the field into sustained oscillation once alpha is a
-    sizable fraction of beta. Satisfies 1/gamma1 - 5*gamma2 >= beta/2 for any
-    alpha >= 0.
+    sizable fraction of beta. Satisfies the admissibility condition
+    1/gamma1 - 5*gamma2 >= beta/2 for any alpha >= 0 by construction.
     """
     if beta <= 0.0:
         return 1.0 / (1.0 + 8.0 * alpha), 0.1
     return 1.0 / (beta + 8.0 * alpha), beta / 10.0
-
-
-def check_step_sizes(gamma1: float, gamma2: float, beta: float) -> None:
-    lhs = 1.0 / gamma1 - 5.0 * gamma2
-    rhs = beta / 2.0
-    if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
-        g1, g2 = default_step_sizes(beta)
-        raise StepSizeError(
-            f"step sizes inadmissible: 1/gamma1 - 5*gamma2 = {lhs:.6g} < beta/2 = {rhs:.6g}; "
-            f"for this problem any gamma1 <= {g1:.6g} with gamma2 = {g2:.6g} is admissible"
-        )
 
 
 def _is_feasible(C: np.ndarray, V: np.ndarray, eps: float) -> bool:
@@ -282,9 +256,12 @@ def pds_solve(
     Each iteration takes a primal step scaled onto the sphere and then the two
     dual steps in closed form: the temporal dual is clipped to [-alpha, alpha],
     and the slab dual, held as one coefficient per frame and direction, takes
-    the sequential slab coefficients of prox.slab_coefficients. A run stops
+    the sequential slab coefficients of prox.slab_coefficients. The step sizes
+    are default_step_sizes(beta, cfg.alpha), with beta the largest Laplacian
+    eigenvalue, and the slab half-width is eps = DEFAULT_EPSILON_SCALE * sqrt(n);
+    only alpha and max_iters come from cfg. A run stops
     once the relative changes of the primal and dual iterates are both <=
-    cfg.sigma and the iterate satisfies all frame constraints within tolerance,
+    SIGMA and the iterate satisfies all frame constraints within tolerance,
     or at cfg.max_iters. The `converged` flag reports whether the former happened.
     A settled run returns its final iterate. A capped run re-projects its
     best-objective iterate and its start onto the constraints, with the same
@@ -326,17 +303,14 @@ def pds_solve(
         raise ValueError("init frames must be nonzero")
 
     beta = largest_eigenvalue(Ls)
-    g1_default, g2_default = default_step_sizes(beta, cfg.alpha)
-    g1 = cfg.gamma1 if cfg.gamma1 is not None else g1_default
-    g2 = cfg.gamma2 if cfg.gamma2 is not None else g2_default
-    check_step_sizes(g1, g2, beta)
-    eps = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * np.sqrt(n)
+    g1, g2 = default_step_sizes(beta, cfg.alpha)
+    eps = DEFAULT_EPSILON_SCALE * np.sqrt(n)
 
     Lblock = scipy.sparse.block_diag(Ls, format="csr")
 
     C0 = np.asarray(init, dtype=float)
     C, obj, iters, converged, trace = _iterate(
-        Lblock, V, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, C0
+        Lblock, V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, C0
     )
     return SolveResult(
         c=C,

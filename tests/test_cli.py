@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 
 from oracle_utils import objective_oracle
 from tvclust import fileio
-from tvclust.cli import main
+from tvclust.cli import _solver_config, main
 from tvclust.clustering import LabelSequence, tv_cluster_multi
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
 from tvclust.graphs import TVGraphSequence, WeightedGraph, build_laplacian
@@ -93,6 +94,24 @@ def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "LOADED []"
+
+
+def test_one_config_file_serves_both_commands(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_per_cluster": 5, "k": 2, "t_len": 3, "p_intra": 0.9, "p_inter": 0.1,
+        "flip_prob": 0.05, "seed": 2, "trials": 1, "alpha": 2.0, "max_iters": 20,
+    }), encoding="utf-8")
+    data, run = tmp_path / "data", tmp_path / "run"
+    res = runner.invoke(main, ["generate-sbm", "--out", str(data), "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, [
+        "cluster", "--graph", str(data), "--method", "tv-pds", "--config", str(cfg),
+        "--out", str(run),
+    ])
+    assert res.exit_code == 0, res.output
+    report = json.loads((run / "report_graph_000.json").read_text())
+    assert report["k"] == 2 and max(report["iterations"]) <= 20
 
 
 class TestFileFormats:
@@ -296,6 +315,15 @@ class TestGenerateSbm:
         assert f"{key} must be" in res.output
         assert not list(out.glob("*.tvg"))
 
+    def test_unknown_config_key_exit_1(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_cluster": 5, "p_intar": 0.5}), encoding="utf-8")
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["generate-sbm", "--out", str(out), "--config", str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert "unknown config keys: p_intar" in res.output
+        assert not out.exists()
+
 
 class TestCluster:
     def test_tv_pds_labels_shape(self, runner, tmp_path):
@@ -380,7 +408,7 @@ class TestCluster:
     @pytest.mark.parametrize(
         "config, key",
         [({"alpha": "abc"}, "alpha"), ({"max_iters": 2.7}, "max_iters"),
-         ({"max_iters": True}, "max_iters"), ({"gamma1": [0.1]}, "gamma1"), ({"k": 2.5}, "k")],
+         ({"max_iters": True}, "max_iters"), ({"alpha": [0.1]}, "alpha"), ({"k": 2.5}, "k")],
     )
     def test_wrong_typed_config_value_exit_1(self, runner, tmp_path, config, key):
         seq, _ = small_sequence(seed=3)
@@ -397,9 +425,48 @@ class TestCluster:
         assert not (out / "est_g.lbl").exists()
 
     @pytest.mark.parametrize(
+        "config, keys",
+        [({"alpah": 50, "max_iter": 3}, "alpah, max_iter"), ({"gamma1": 0.1}, "gamma1"),
+         ({"gamma2": 0.1}, "gamma2"), ({"epsilon": None}, "epsilon"), ({"sigma": 1e-5}, "sigma")],
+        ids=["typos", "gamma1", "gamma2", "epsilon", "sigma"],
+    )
+    def test_unknown_config_key_exit_1(self, runner, tmp_path, config, keys):
+        """Misspelt keys, and the step-size, slab and stopping keys that the solver
+        derives from the data, fail before anything is written."""
+        seq, _ = small_sequence(seed=3)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "tv-pds",
+            "--k", "2", "--config", str(cfg), "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"unknown config keys: {keys}" in res.output
+        assert not out.exists()
+
+    def test_solver_options_are_solver_config_fields(self):
+        """Each SolverConfig field but seed is both a cluster flag and a config key."""
+        fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"seed"}
+        other = {"graph_path", "method", "k", "seed", "out_path", "config_path"}
+        options = {p.name for p in main.commands["cluster"].params} - other
+        assert options == fields
+
+        read = set()
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        _solver_config(Recording(), seed=0)
+        assert read == fields
+
+    @pytest.mark.parametrize(
         "flags, config",
         [(["--alpha", "nan"], None), (["--alpha", "inf"], None),
-         ([], '{"gamma1": Infinity}'), ([], '{"epsilon": NaN}')],
+         ([], '{"alpha": Infinity}'), ([], '{"alpha": NaN}')],
         ids=["alpha-nan", "alpha-inf", "config-infinity", "config-nan"],
     )
     def test_non_finite_solver_value_exit_1(self, runner, tmp_path, flags, config):

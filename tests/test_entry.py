@@ -40,7 +40,7 @@ class TestLazyNamespace:
         assert res.stdout.strip() == "[]"
 
     def test_every_export_is_its_defining_modules_object(self):
-        assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 35
+        assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 34
         for name in tvclust.__all__:
             module = importlib.import_module(f"tvclust.{tvclust._EXPORTS[name]}")
             assert getattr(tvclust, name) is getattr(module, name), name

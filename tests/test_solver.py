@@ -18,14 +18,7 @@ from tvclust.graphs import (
     smallest_eigenvectors,
 )
 from tvclust.clustering import _warm_start, tv_cluster_multi
-from tvclust.solver import (
-    SolverConfig,
-    SolverError,
-    StepSizeError,
-    check_step_sizes,
-    default_step_sizes,
-    pds_solve,
-)
+from tvclust.solver import SIGMA, SolverConfig, SolverError, default_step_sizes, pds_solve
 
 EPS_TOL = 1e-8
 NORM_TOL = 1e-6
@@ -51,25 +44,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(alpha=-1.0)
         with pytest.raises(ValueError):
-            SolverConfig(gamma1=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(sigma=0.0)
+            SolverConfig(max_iters=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", ["alpha", "sigma", "gamma1", "gamma2", "epsilon"])
+    @pytest.mark.parametrize("field", ["alpha"])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SolverConfig(**{field: value})
 
     def test_default_steps_admissible(self):
+        """Every solve's steps meet 1/gamma1 - 5*gamma2 >= beta/2 (Condat 2013)."""
         for beta in (0.0, 0.5, 4.0, 120.0):
             for alpha in (0.0, 1.0, 40.0):
                 g1, g2 = default_step_sizes(beta, alpha)
-                check_step_sizes(g1, g2, beta)
-
-    def test_step_size_error(self):
-        with pytest.raises(StepSizeError, match="inadmissible"):
-            check_step_sizes(gamma1=1.0, gamma2=1.0, beta=10.0)
+                assert g1 > 0.0 and g2 > 0.0
+                assert 1.0 / g1 - 5.0 * g2 >= beta / 2.0 - 1e-9 * max(1.0, beta / 2.0)
 
 
 class TestSolveResult:
@@ -243,13 +232,15 @@ class TestPdsSolve:
         init -= init.mean(axis=1, keepdims=True)
         init *= np.sqrt(g.n) / np.linalg.norm(init, axis=1, keepdims=True)
         beta = largest_eigenvalue(Ls)
-        # explicit steps: the frame difference vanishes at the optimum, so the
-        # temporal dual stays interior and modest steps converge fast
-        cfg = SolverConfig(
-            alpha=1e4, gamma1=1.0 / (beta + 50.0), gamma2=beta / 10.0, seed=5, max_iters=20000
+        # steps 1/(beta + 50) and beta/10, not the default 1/(beta + 8 * alpha), which
+        # is far smaller at alpha = 1e4, so the iteration is called directly: the
+        # frame difference vanishes at the optimum, so the temporal dual stays
+        # interior and modest steps converge fast
+        Lblock = scipy.sparse.block_diag(Ls, format="csr")
+        eps = tvclust.solver.DEFAULT_EPSILON_SCALE * np.sqrt(g.n)
+        C, *_ = tvclust.solver._iterate(
+            Lblock, V, eps, 1e4, 1.0 / (beta + 50.0), beta / 10.0, SIGMA, 20000, init
         )
-        res = pds_solve(Ls, V, cfg, init)
-        C = res.c
         assert np.abs(C[1] - C[0]).max() <= 1e-3
 
     def test_alpha_zero_decouples_frames(self):
@@ -322,14 +313,6 @@ class TestPdsSolve:
         assert np.all(np.isfinite(trace))
         assert trace[-1] <= trace[0] + 1e-9 * max(1.0, abs(trace[0]))
 
-    def test_step_size_violation_raises(self):
-        g, _ = two_block_graph(seed=14, n=10)
-        Ls = [build_laplacian(g)]
-        init = np.ones((1, g.n))
-        cfg = SolverConfig(gamma1=10.0, gamma2=10.0, seed=0)
-        with pytest.raises(StepSizeError):
-            pds_solve(Ls, np.ones((1, 1, g.n)), cfg, init)
-
     def test_shape_validation(self):
         g, _ = two_block_graph(seed=15, n=10)
         Ls = [build_laplacian(g)]
@@ -378,7 +361,7 @@ class TestPdsSolve:
         cfg = SolverConfig(alpha=1.0, max_iters=50)
         g1, g2 = default_step_sizes(largest_eigenvalue(Ls), cfg.alpha)
         eps = 1e-6 * np.sqrt(10)
-        args = (V, eps, cfg.alpha, g1, g2, cfg.sigma, cfg.max_iters, init)
+        args = (V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, init)
         with np.errstate(all="ignore"):
             want = _outcome(pds_iterate_oracle, scipy.sparse.block_diag(Ls, format="csr"), *args)
             assert want == ("SolverError", "non-finite iterate at iteration 1")
@@ -386,11 +369,11 @@ class TestPdsSolve:
                 pds_solve(Ls, V, cfg, init)
 
     def test_zero_frame_in_sphere_step_reports_iteration(self):
-        # on the complete graph K4, L c = 4c for a centred c, so a primal step of
-        # 1/4 from that start lands exactly on zero
+        # on the complete graph K4, L c = 4c for a centred c, so the default primal
+        # step 1/beta = 1/4 at alpha = 0 from that start lands exactly on zero
         edges = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
         L = build_laplacian(WeightedGraph(4, edges))
-        cfg = SolverConfig(alpha=0.0, gamma1=0.25, gamma2=0.1)
+        cfg = SolverConfig(alpha=0.0)
         init = np.array([[1.0, -1.0, 1.0, -1.0]])
         with pytest.raises(SolverError, match="all-zero frame at iteration 1"):
             pds_solve([L], np.ones((1, 1, 4)), cfg, init)

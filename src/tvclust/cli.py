@@ -158,6 +158,11 @@ def _inputs(path, suffix: str) -> list[Path]:
 def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
     """Estimate cluster labels for one or many graph sequence files."""
     config = _load_config(config_path)
+    if method == "static-sc":
+        # config keys stay allowed there, since one file may serve both methods
+        ignored = [f"--{key.replace('_', '-')}" for key, v in flags.items() if v is not None]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} only apply to --method tv-pds")
     k = _pick(k, config, "k", 2)
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .graphs import TVGraphSequence, build_laplacian, dense_laplacian, smallest_eigenvectors
 from .prox import prox_slab_frames, prox_sphere_frames
-from .solver import SolveResult, SolverConfig, pds_solve
+from .solver import BlockLaplacian, SolveResult, SolverConfig, pds_solve
 
 # spawn_key tags keep the warm-start, k-means and static-sc streams drawn from
 # one seed disjoint.
@@ -443,10 +443,11 @@ def tv_cluster_multi(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG)
     )
     _, starts = smallest_eigenvectors(sum(Ls).toarray() / seq.t_len, k)
+    op = BlockLaplacian(Ls)  # every level solves on the same Laplacians
     V = np.ones((seq.t_len, 1, seq.n))
     results: list[SolveResult] = []
     for level in range(1, k):
-        res = pds_solve(Ls, V, cfg, _warm_start(starts[:, level], V, warm_rng))
+        res = pds_solve(op, V, cfg, _warm_start(starts[:, level], V, warm_rng))
         results.append(res)
         unit = res.c / np.linalg.norm(res.c, axis=1, keepdims=True)
         V = np.concatenate([V, unit[:, None, :]], axis=1)

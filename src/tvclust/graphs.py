@@ -142,6 +142,40 @@ def dense_laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
+def block_laplacian(Ls: Sequence[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
+    """The block-diagonal CSR of the blocks Ls, bit-identical to
+    ``scipy.sparse.block_diag(Ls, format="csr")``: same index dtype, same
+    ``indptr``, ``indices`` and ``data``, with sorted indices and no duplicates.
+
+    Assembled from each block's CSR arrays, shifted by the rows and columns
+    before it, without block_diag's round trip through COO. A block whose
+    indices are unsorted or repeated is first brought to canonical form, as
+    block_diag's conversion does.
+    """
+    import scipy.sparse
+
+    if len(Ls) == 0:
+        raise ValueError("need at least one Laplacian")
+    blocks = []
+    for L in Ls:
+        L = L.tocsr()
+        if not L.has_canonical_format:
+            L = L.copy()
+            L.sum_duplicates()
+        blocks.append(L)
+    rows = np.cumsum([0] + [L.shape[0] for L in blocks])
+    cols = np.cumsum([0] + [L.shape[1] for L in blocks])
+    nnz = np.cumsum([0] + [L.nnz for L in blocks])
+    indptr = np.concatenate(
+        [[0]] + [L.indptr[1:].astype(np.int64) + nnz[b] for b, L in enumerate(blocks)]
+    )
+    indices = np.concatenate(
+        [L.indices.astype(np.int64) + cols[b] for b, L in enumerate(blocks)]
+    )
+    data = np.concatenate([L.data for L in blocks])
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(rows[-1], cols[-1]))
+
+
 def largest_eigenvalue(Ls: Sequence[scipy.sparse.csr_matrix]) -> float:
     """Largest eigenvalue of a block-diagonal family: the maximum over its blocks
     of the top eigenvalue of ``np.linalg.eigvalsh`` on the dense block.

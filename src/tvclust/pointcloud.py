@@ -90,20 +90,37 @@ def downsample(seq: PointFrameSequence, target_n: int, seed: int) -> PointFrameS
 
 def knn_graph(points, k: int) -> WeightedGraph:
     """Directed k-nearest-neighbor edges by Euclidean distance, OR-symmetrized to an
-    unweighted undirected graph; distance ties break toward the lower point index."""
+    unweighted undirected graph; distance ties break toward the lower point index.
+
+    Point i's neighbors are the first k points j != i in the order of (squared
+    distance, j), the set a stable argsort of its distance row would give. The
+    squared distances add one coordinate plane at a time, in coordinate order.
+    Each row's k-th smallest distance comes from np.partition; the points
+    strictly closer are all taken, and the points at exactly that distance fill
+    the remaining places in index order. Points must be finite.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be an (n, d) array")
     n = pts.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    d2 = np.zeros((n, n))
+    buf = np.empty((n, n))
+    for x in pts.T:
+        np.subtract(x[:, None], x[None, :], out=buf)
+        d2 += np.square(buf, out=buf)
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    neighbors = order[:, :k]
-    src = np.repeat(np.arange(n), k)
-    dst = neighbors.reshape(-1)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    chosen = d2 < kth
+    tied = d2 == kth
+    # the tied points fill the places left by the strictly closer ones, lowest index first
+    room = k - chosen.sum(axis=1, keepdims=True)
+    chosen |= tied & (np.cumsum(tied, axis=1) <= room)
+    src, dst = np.nonzero(chosen)
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-    edges = np.column_stack([pairs, np.ones(len(pairs))])
+    pairs = np.unique(lo * n + hi)
+    edges = np.column_stack([pairs // n, pairs % n, np.ones(pairs.size)])
     return WeightedGraph(n, edges)

@@ -8,7 +8,7 @@ slabs |c_t . v| <= eps for every constraint direction v of that frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .graphs import largest_eigenvalue
+from .graphs import block_laplacian, largest_eigenvalue
 from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
@@ -77,6 +77,35 @@ class SolveResult:
         c = np.array(self.c, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockLaplacian:
+    """The operator of one Laplacian sequence, built once for every solve on it.
+
+    Holds the block-diagonal CSR of the Laplacians (graphs.block_laplacian),
+    their largest eigenvalue beta (graphs.largest_eigenvalue), the number of
+    frames t_len and the node count n. The Laplacians must be square and share
+    one dimension; an empty sequence or mismatched shapes raise ValueError.
+    """
+
+    laplacians: InitVar[Sequence[scipy.sparse.csr_matrix]]
+    matrix: scipy.sparse.csr_matrix = field(init=False)
+    beta: float = field(init=False)
+    t_len: int = field(init=False)
+    n: int = field(init=False)
+
+    def __post_init__(self, laplacians):
+        Ls = tuple(laplacians)
+        if not Ls:
+            raise ValueError("need at least one Laplacian")
+        n = Ls[0].shape[0]
+        if any(L.shape != (n, n) for L in Ls):
+            raise ValueError("all Laplacian blocks must be square and share one dimension")
+        object.__setattr__(self, "matrix", block_laplacian(Ls))
+        object.__setattr__(self, "beta", largest_eigenvalue(Ls))
+        object.__setattr__(self, "t_len", len(Ls))
+        object.__setattr__(self, "n", n)
 
 
 def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
@@ -246,14 +275,19 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
 
 
 def pds_solve(
-    Ls: Sequence[scipy.sparse.csr_matrix],
+    Ls: BlockLaplacian | Sequence[scipy.sparse.csr_matrix],
     directions: np.ndarray,
     cfg: SolverConfig,
     init: np.ndarray,
 ) -> SolveResult:
     """Run the splitting iteration once from `init`.
 
-    Each iteration takes a primal step scaled onto the sphere and then the two
+    `Ls` is the sequence's operator, either a BlockLaplacian or the list of
+    per-frame Laplacians, which is turned into a BlockLaplacian on entry.
+    Building the operator costs one dense eigvalsh per frame for beta, so
+    callers that solve on one sequence several times, as tv_cluster_multi does
+    once per deflation level, build it once and pass it to every solve. Each
+    iteration takes a primal step scaled onto the sphere and then the two
     dual steps in closed form: the temporal dual is clipped to [-alpha, alpha],
     and the slab dual, held as one coefficient per frame and direction, takes
     the sequential slab coefficients of prox.slab_coefficients. The step sizes
@@ -279,14 +313,8 @@ def pds_solve(
     finite and with no all-zero frame. SolverError reports a non-finite iterate
     or an all-zero frame before the sphere scaling, naming the iteration.
     """
-    import scipy.sparse
-
-    t_len = len(Ls)
-    if t_len == 0:
-        raise ValueError("need at least one Laplacian")
-    n = Ls[0].shape[0]
-    if any(L.shape != (n, n) for L in Ls):
-        raise ValueError("all Laplacian blocks must be square and share one dimension")
+    op = Ls if isinstance(Ls, BlockLaplacian) else BlockLaplacian(Ls)
+    t_len, n = op.t_len, op.n
     V = np.asarray(directions, dtype=float)
     if V.ndim != 3 or V.shape[0] != t_len or V.shape[2] != n:
         raise ValueError("directions shape does not match the Laplacian sequence")
@@ -302,15 +330,12 @@ def pds_solve(
     if np.any(np.linalg.norm(init, axis=1) == 0.0):
         raise ValueError("init frames must be nonzero")
 
-    beta = largest_eigenvalue(Ls)
-    g1, g2 = default_step_sizes(beta, cfg.alpha)
+    g1, g2 = default_step_sizes(op.beta, cfg.alpha)
     eps = DEFAULT_EPSILON_SCALE * np.sqrt(n)
-
-    Lblock = scipy.sparse.block_diag(Ls, format="csr")
 
     C0 = np.asarray(init, dtype=float)
     C, obj, iters, converged, trace = _iterate(
-        Lblock, V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, C0
+        op.matrix, V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, C0
     )
     return SolveResult(
         c=C,
@@ -318,5 +343,5 @@ def pds_solve(
         converged=converged,
         objective=obj,
         objective_trace=trace,
-        beta=beta,
+        beta=op.beta,
     )

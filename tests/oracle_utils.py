@@ -176,6 +176,20 @@ def slab_coefficients_oracle(s, G, Vsq, eps):
     return c
 
 
+def knn_edges_oracle(points, k):
+    """Sorted (i, j) pairs, i < j, of the OR-symmetrized k-nearest-neighbor graph:
+    point i takes the first k other points in the order of (squared distance, index),
+    each squared distance summed over the coordinates in Python floats."""
+    pts = np.asarray(points, dtype=float).tolist()
+    n = len(pts)
+    pairs = set()
+    for i in range(n):
+        d2 = [sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])) for j in range(n)]
+        others = sorted((j for j in range(n) if j != i), key=lambda j: (d2[j], j))
+        pairs.update((min(i, j), max(i, j)) for j in others[:k])
+    return sorted(pairs)
+
+
 def objective_oracle(Ls, C, alpha):
     """The tv-pds objective from its definition: half the sum over frames of
     c_t' L_t c_t, plus alpha times the sum of |c_t - c_{t-1}| over t >= 1."""

@@ -391,6 +391,40 @@ class TestCluster:
         assert not {"iterations", "final_objective", "beta", "beta_converged"} & report.keys()
         assert "wall_time_s" in report
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--alpha", "5"], "--alpha"),
+            (["--max-iters", "3"], "--max-iters"),
+            (["--alpha", "5", "--max-iters", "3"], "--alpha, --max-iters"),
+        ],
+        ids=["alpha", "max-iters", "both"],
+    )
+    def test_static_sc_rejects_solver_flags(self, runner, tmp_path, flags, named):
+        seq, _ = small_sequence(seed=2)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "static-sc",
+            "--k", "2", *flags, "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"{named} only apply to --method tv-pds" in res.output
+        assert not out.exists()
+
+    def test_static_sc_accepts_solver_config_keys(self, runner, tmp_path):
+        seq, _ = small_sequence(seed=2)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 5.0, "max_iters": 3}), encoding="utf-8")
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", "static-sc",
+            "--k", "2", "--config", str(cfg), "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        assert (out / "est_g.lbl").exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         seq, _ = small_sequence(seed=3)
         fileio.write_tvg(tmp_path / "g.tvg", seq)

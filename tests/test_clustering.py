@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvclust.clustering
+import tvclust.solver
 from oracle_utils import align_labels_oracle, kmeans_oracle, max_assignment_oracle, wcss_oracle
 from tvclust.clustering import (
     _STATIC_TAG,
@@ -484,6 +485,28 @@ class TestTvClusterMulti:
         for k in (1, 5, 6):
             with pytest.raises(ValueError, match="k must"):
                 tv_cluster_multi(seq, k, SolverConfig(seed=0))
+
+
+def test_operator_built_once_per_sequence(monkeypatch):
+    """All k-1 levels solve on one BlockLaplacian: beta and the block are built once."""
+    calls = {"largest_eigenvalue": 0, "block_laplacian": 0}
+
+    def counting(name):
+        real = getattr(tvclust.solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tvclust.solver, name, counting(name))
+    seq, _ = sbm_tv_sequence(SbmTvParams(5, 4, 4, 0.8, 0.1, 0.05, seed=31))
+    _, _, results = tv_cluster_multi(seq, 4, SolverConfig(seed=2, max_iters=30))
+    assert calls == {"largest_eigenvalue": 1, "block_laplacian": 1}
+    assert len(results) == 3
+    assert len({r.beta for r in results}) == 1
 
 
 def test_one_kmeans_call_per_sequence(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tvclust.graphs import (
     TVGraphSequence,
     WeightedGraph,
+    block_laplacian,
     build_laplacian,
     dense_laplacian,
     largest_eigenvalue,
@@ -209,6 +210,62 @@ class TestMaxEigenvalue:
             L = build_laplacian(g)
             want = float(np.linalg.eigvalsh(L.toarray()).max())
             assert largest_eigenvalue([L]) == want
+
+
+class TestBlockLaplacian:
+    """block_laplacian against scipy.sparse.block_diag(Ls, format="csr"), array by array."""
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.has_sorted_indices == want.has_sorted_indices
+        assert got.has_sorted_indices
+
+    @staticmethod
+    def block_diag(Ls):
+        import scipy.sparse
+
+        return scipy.sparse.block_diag(Ls, format="csr")
+
+    def test_frames_of_differing_nnz_and_an_edgeless_frame(self):
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, 9, p) for p in (0.2, 0.9, 0.5)]
+        graphs.insert(1, WeightedGraph(9))
+        Ls = [build_laplacian(g) for g in graphs]
+        assert len({L.nnz for L in Ls}) == 4
+        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+
+    def test_single_frame(self):
+        Ls = [build_laplacian(random_graph(np.random.default_rng(12), 7))]
+        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+
+    def test_blocks_without_stored_entries(self):
+        import scipy.sparse
+
+        Ls = [scipy.sparse.csr_matrix((4, 4)), build_laplacian(path_graph(4)),
+              scipy.sparse.csr_matrix((4, 4))]
+        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+
+    def test_unsorted_and_repeated_indices_are_canonicalized(self):
+        import scipy.sparse
+
+        raw = scipy.sparse.csr_matrix(
+            (np.array([1.0, 2.0, 3.0, 4.0, 0.5]), np.array([2, 0, 2, 1, 1]),
+             np.array([0, 3, 5, 5])),
+            shape=(3, 3),
+        )
+        Ls = [build_laplacian(path_graph(3)), raw]
+        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+        assert raw.indices.tolist() == [2, 0, 2, 1, 1]  # the input is left as it was
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one Laplacian"):
+            block_laplacian([])
 
 
 class TestSmallestEigenvectors:

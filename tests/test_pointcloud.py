@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracle_utils import knn_edges_oracle
 from tvclust.pointcloud import PointFrameSequence, downsample, knn_graph, load_frames
 
 
@@ -113,3 +114,42 @@ class TestKnnGraph:
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [5.0, 0, 0]])
         g = knn_graph(pts, 1)
         assert (0, 1, 1.0) in g.edges
+
+    def test_non_finite_points_rejected(self):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            knn_graph(pts, 1)
+
+
+def _lattice(side, dim):
+    axes = np.meshgrid(*[np.arange(side, dtype=float)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+def _duplicated(seed):
+    base = np.random.default_rng(seed).integers(0, 3, size=(6, 3)).astype(float)
+    return np.concatenate([base, base[::-1], base[:3]])
+
+
+class TestKnnGraphMatchesOracle:
+    """Every pair list against the brute-force (distance, index) order."""
+
+    @pytest.mark.parametrize(
+        "pts",
+        [_lattice(4, 2), _lattice(3, 3), _duplicated(0), _duplicated(1), np.zeros((7, 3))],
+        ids=["lattice-4x4", "lattice-3x3x3", "duplicated-0", "duplicated-1", "one-point-7x"],
+    )
+    def test_tie_heavy_clouds_every_k(self, pts):
+        for k in range(1, len(pts)):
+            edges = [(i, j) for i, j, _ in knn_graph(pts, k).edges]
+            assert edges == knn_edges_oracle(pts, k), f"k={k}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(5, 40))
+        pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+        for k in sorted({1, 2, n // 2, n - 1}):
+            edges = [(i, j) for i, j, _ in knn_graph(pts, k).edges]
+            assert edges == knn_edges_oracle(pts, k), f"k={k}"

@@ -18,7 +18,14 @@ from tvclust.graphs import (
     smallest_eigenvectors,
 )
 from tvclust.clustering import _warm_start, tv_cluster_multi
-from tvclust.solver import SIGMA, SolverConfig, SolverError, default_step_sizes, pds_solve
+from tvclust.solver import (
+    SIGMA,
+    BlockLaplacian,
+    SolverConfig,
+    SolverError,
+    default_step_sizes,
+    pds_solve,
+)
 
 EPS_TOL = 1e-8
 NORM_TOL = 1e-6
@@ -130,6 +137,56 @@ class TestBitIdentity:
             "f64fc5f97edd8c2d0c3951d6446efb77903fd7a24f326b799c988b96f1510417",
             "913f57996595ea08b8400377799827c624cadebf92087e93cfbe101a2e34b72b",
         )
+
+
+class TestBlockLaplacian:
+    """The operator built once per sequence: its contents, its checks, and solves on it."""
+
+    def test_holds_block_beta_and_shape(self):
+        seq, _ = sbm_tv_sequence(SbmTvParams(6, 2, 3, 0.8, 0.1, 0.05, seed=2))
+        Ls = [build_laplacian(g) for g in seq.graphs]
+        op = BlockLaplacian(Ls)
+        want = scipy.sparse.block_diag(Ls, format="csr")
+        assert (op.t_len, op.n, op.matrix.shape) == (3, 12, (36, 36))
+        for name in ("indptr", "indices", "data"):
+            assert getattr(op.matrix, name).tobytes() == getattr(want, name).tobytes()
+        assert op.beta == largest_eigenvalue(Ls)
+        with pytest.raises(AttributeError):
+            op.beta = 1.0
+
+    @pytest.mark.parametrize(
+        "Ls, match",
+        [
+            ([], "need at least one Laplacian"),
+            ([scipy.sparse.identity(3, format="csr"), scipy.sparse.identity(4, format="csr")],
+             "all Laplacian blocks must be square and share one dimension"),
+            ([scipy.sparse.csr_matrix((3, 4))],
+             "all Laplacian blocks must be square and share one dimension"),
+        ],
+        ids=["empty", "mismatched", "not-square"],
+    )
+    def test_rejects_what_pds_solve_rejects(self, Ls, match):
+        with pytest.raises(ValueError, match=match):
+            BlockLaplacian(Ls)
+        with pytest.raises(ValueError, match=match):
+            pds_solve(Ls, np.ones((1, 1, 3)), SolverConfig(), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("max_iters", [40, 20000], ids=["capped", "settled"])
+    def test_list_and_operator_solve_bit_for_bit(self, max_iters):
+        g = sbm_static(np.repeat([0, 1], 10), 0.9, 0.05, np.random.default_rng(3))
+        h = sbm_static(np.repeat([0, 1], 10), 0.8, 0.1, np.random.default_rng(4))
+        Ls = [build_laplacian(g), build_laplacian(h), build_laplacian(g)]
+        init = np.random.default_rng(9).standard_normal((3, 20))
+        init -= init.mean(axis=1, keepdims=True)
+        V = np.ones((3, 1, 20))
+        cfg = SolverConfig(alpha=0.5, max_iters=max_iters)
+        a = pds_solve(Ls, V, cfg, init)
+        b = pds_solve(BlockLaplacian(Ls), V, cfg, init)
+        fields = ("iters", "converged", "objective", "beta")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        assert a.c.tobytes() == b.c.tobytes()
+        assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
+        assert a.converged == (max_iters == 20000)
 
 
 def _outcome(fn, *args):

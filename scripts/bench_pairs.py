@@ -12,7 +12,9 @@ benchmark runs them. It fails, and writes nothing, if a run reports a failed
 check. A seed on which the two trees' pair_accuracy differ is listed under
 the workload's pair_accuracy_differs as {seed, parent, change}, and the runs go
 on. The output holds each side's per-run end-to-end values, their medians and
-quartiles, the pairs the change won, and the machine line run.py printed.
+quartiles, the pairs the change won, whether that makes a gain and whether the
+change stays within the metric's bound in BENCHMARK.json, and the machine line
+run.py printed.
 """
 
 from __future__ import annotations
@@ -36,34 +38,51 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(result), json.loads(detail)
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's values in seed order, their medians and inclusive
-    quartiles, and how many pairs the change won (strictly better) or tied.
+    quartiles, how many pairs the change won (strictly better) or tied, and two
+    verdicts.
+
+    `gain` holds when the change won at least nine tenths of all pairs (a tie
+    is no win) and its median beats the parent's by more than the parent's
+    interquartile distance. `within_bound` holds when the change's median is
+    worse than the parent's by no more than the metric's relative bound, and is
+    None for a metric without one.
 
     `pairs` holds {"seed", "parent", "change"}, each side a {metric: value}
-    dict; `better` maps each metric to "lower" or "higher".
+    dict; `better` maps each metric to "lower" or "higher" and `bounds` maps
+    metrics to relative bounds, as BENCHMARK.json's end_to_end entries do.
     """
 
     def stats(vals):
         q = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
         return {"values": vals, "median": statistics.median(vals), "quartiles": [q[0], q[2]]}
 
+    bounds = bounds or {}
     out = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "lower" else -1.0
         gaps = [sign * (p["parent"][name] - p["change"][name]) for p in pairs]
+        parent = stats([p["parent"][name] for p in pairs])
+        change = stats([p["change"][name] for p in pairs])
+        won = sum(g > 0 for g in gaps)
+        # how much better the change's median is than the parent's
+        lead = sign * (parent["median"] - change["median"])
+        bound = bounds.get(name)
         out[name] = {
             "better": direction,
-            "parent": stats([p["parent"][name] for p in pairs]),
-            "change": stats([p["change"][name] for p in pairs]),
-            "change_won": sum(g > 0 for g in gaps),
+            "parent": parent,
+            "change": change,
+            "change_won": won,
             "tied": sum(g == 0 for g in gaps),
+            "gain": won >= 0.9 * len(pairs) and lead > parent["quartiles"][1] - parent["quartiles"][0],
+            "within_bound": None if bound is None else -lead <= bound * abs(parent["median"]),
         }
     return out
 
 
 def run_pairs(run, trees: dict, workload: str, first: int, count: int, seconds: float,
-              better: dict[str, str]) -> tuple[dict, dict]:
+              better: dict[str, str], bounds: dict[str, float] | None = None) -> tuple[dict, dict]:
     """(entry, machine): `count` pairs of `run(tree, workload, seed, seconds)` on the
     "parent" and "change" trees, seeds from `first` on, alternating which side
     runs first, and the machine line of the last run.
@@ -92,7 +111,7 @@ def run_pairs(run, trees: dict, workload: str, first: int, count: int, seconds: 
         "seeds": [p["seed"] for p in pairs],
         "first": [p["first"] for p in pairs],
         "pair_accuracy_differs": differs,
-        "metrics": summarize(pairs, better),
+        "metrics": summarize(pairs, better, bounds),
     }
     return entry, machine
 
@@ -107,12 +126,13 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     report = {"seconds": seconds, "machine": None, "workloads": {}}
     for item in args.run:
         workload, first, count = item.split(":")
         entry, machine = run_pairs(run_once, trees, workload, int(first), int(count), seconds,
-                                   better)
+                                   better, bounds)
         report["workloads"][workload] = entry
         report["machine"] = report["machine"] or machine
     args.out.write_text(json.dumps(report, indent=1) + "\n")

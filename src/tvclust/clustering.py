@@ -95,14 +95,15 @@ class EmbeddingSequence:
 _KMEANS_BATCH_ELEMENTS = 1 << 16
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(runs, m, n) squared distances from each run's m centers to its n points.
+def _sq_dists(X: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(runs, m, n) squared distances from each run's m centers to its n points,
+    written to `out` when given.
 
     X holds the (d, runs, n) coordinate planes of each run's points and C the
     (d, runs, m) planes of its centers. The d squared differences are added in
     coordinate order, one plane at a time.
     """
-    acc = np.subtract(X[0][:, None, :], C[0][:, :, None])
+    acc = np.subtract(X[0][:, None, :], C[0][:, :, None], out=out)
     np.square(acc, out=acc)
     buf = None
     for j in range(1, X.shape[0]):
@@ -111,9 +112,10 @@ def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _nearest(d2: np.ndarray) -> np.ndarray:
+def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(runs, n) nearest center of every point, as d2.argmin(axis=1) picks it
-    from the (runs, k, n) squared distances; ties go to the lower center."""
+    from the (runs, k, n) squared distances, ties going to the lower center;
+    and the (runs, n) squared distance of every point to that center."""
     runs, k, n = d2.shape
     best = d2[:, 0].copy()
     nearest = np.zeros((runs, n), dtype=np.intp)
@@ -124,12 +126,13 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
         np.minimum(best, d2[:, c], out=best)
         # the last center that came strictly closer is the first of the minima
         np.maximum(nearest, np.multiply(closer, c, out=hit), out=nearest)
-    return nearest
+    return nearest, best
 
 
-def _kmeans_pp(X: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _kmeans_pp(X: np.ndarray, first: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, runs, k) k-means++ starting centers from the (d, runs, n) coordinate
-    planes of each run's points.
+    planes of each run's points, and the (runs, k, n) squared distances from
+    those centers, the rows that Lloyd's first pass assigns by.
 
     Run r starts at point first[r]. Its c-th later center is the point at which
     the uniform u[c - 1, r] falls in the cumulative distribution of the squared
@@ -137,23 +140,27 @@ def _kmeans_pp(X: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
     when all of those distances are zero.
     """
     _, runs, n = X.shape
+    k = u.shape[0] + 1
     rows = np.arange(runs)
-    C = np.empty((X.shape[0], runs, u.shape[0] + 1))
+    C = np.empty((X.shape[0], runs, k))
+    d2 = np.empty((runs, k, n))
     C[:, :, 0] = X[:, rows, first]
-    d2 = _sq_dists(X, C[:, :, :1])[:, 0]
+    _sq_dists(X, C[:, :, :1], out=d2[:, :1])
+    nearest = d2[:, 0].copy()
     for c, uc in enumerate(u, start=1):
-        totals = d2.sum(axis=1)
+        totals = nearest.sum(axis=1)
         spread = totals > 0.0
         # the inverse-CDF step of Generator.choice(n, p=p[r]): the number of
         # entries of the nondecreasing cdf[r] that are <= u
         with np.errstate(invalid="ignore"):
-            cdf = np.cumsum(d2 / totals[:, None], axis=1)
+            cdf = np.cumsum(nearest / totals[:, None], axis=1)
             cdf /= cdf[:, -1:]
         idx = (cdf <= uc[:, None]).sum(axis=1)
         idx[~spread] = (uc[~spread] * n).astype(np.intp)
         C[:, :, c] = X[:, rows, idx]
-        np.minimum(d2, _sq_dists(X, C[:, :, c : c + 1])[:, 0], out=d2)
-    return C
+        _sq_dists(X, C[:, :, c : c + 1], out=d2[:, c : c + 1])
+        np.minimum(nearest, d2[:, c], out=nearest)
+    return C, d2
 
 
 def _reseed_empty(x: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray):
@@ -192,45 +199,70 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
         return (sums / counts).reshape(d, runs, k)
 
 
-def _lloyd(X: np.ndarray, C: np.ndarray, max_iters: int) -> np.ndarray:
-    """(runs, n) assignments of Lloyd's iterations for every run at once, from
-    the (d, runs, n) point planes X and (d, runs, k) starting centers C.
+def _lloyd(X: np.ndarray, C: np.ndarray, d2: np.ndarray, max_iters: int):
+    """(runs, n) assignments of Lloyd's iterations for every run at once, and
+    each run's WCSS where the last pass gave it, NaN elsewhere.
 
-    A run stops once its assignment repeats, or after max_iters assignments; its
-    emptied clusters are re-seeded as a lone run would re-seed them. Stopped runs
-    leave the work arrays.
+    X holds the (d, runs, n) point planes, C the (d, runs, k) starting centers
+    and d2 their (runs, k, n) squared distances, which the first pass assigns
+    by; every later pass computes its own into d2's memory. A run stops once
+    its assignment repeats, or after max_iters assignments; its emptied
+    clusters are re-seeded as a lone run would re-seed them. Stopped runs leave
+    the work arrays.
+
+    A run that stops on a repeat without a re-seed in that pass was measured
+    against the means of its final assignment, so its WCSS is the .sum() of its
+    points' distances to their nearest centers in that pass, bit for bit.
     """
     _, runs, n = X.shape
     k = C.shape[2]
     assign = np.empty((runs, n), dtype=np.intp)
+    wcss = np.full(runs, np.nan)
     live = np.arange(runs)
     prev = None
-    for _ in range(max_iters):
-        d2 = _sq_dists(X, C)
-        new = _nearest(d2)
+    for it in range(max_iters):
+        if it:
+            # the last pass's distances are spent; their memory takes this pass's
+            d2 = _sq_dists(X, C, out=d2[: X.shape[1]])
+        new, best = _nearest(d2)
         counts = np.bincount(_bins(new, k), minlength=new.shape[0] * k).reshape(-1, k)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
+        reseeded = np.flatnonzero((counts == 0).any(axis=1))
+        for i in reseeded:
             _reseed_empty(X[:, i], d2[i], new[i], C[:, i])
         if prev is not None:
             moved = (new != prev).any(axis=1)
             if not moved.all():
                 assign[live[~moved]] = new[~moved]
+                exact = ~moved
+                exact[reseeded] = False
+                wcss[live[exact]] = best[exact].sum(axis=1)
                 live, new, X = live[moved], new[moved], X[:, moved]
         prev = new
         if live.size == 0:
             break
         C = _cluster_means(X, new, k)
     assign[live] = prev
-    return assign
+    return assign, wcss
 
 
-def _best_restarts(X: np.ndarray, assigns: np.ndarray, k: int, restarts: int) -> np.ndarray:
-    """Each frame's assignment of least WCSS among its `restarts` consecutive
-    runs, ties to the earliest. A run's WCSS is the .sum() of each point's
-    squared distance to the mean of its cluster."""
+def _wcss(X: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
+    """Each run's WCSS: the .sum() of each point's squared distance to the mean
+    of its cluster, from the (d, runs, n) point planes and (runs, n) assignments."""
     d2 = _sq_dists(X, _cluster_means(X, assigns, k))
-    wcss = np.take_along_axis(d2, assigns[:, None, :], axis=1)[:, 0].sum(axis=1)
+    return np.take_along_axis(d2, assigns[:, None, :], axis=1)[:, 0].sum(axis=1)
+
+
+def _best_restarts(
+    X: np.ndarray, assigns: np.ndarray, k: int, restarts: int, wcss: np.ndarray | None = None
+) -> np.ndarray:
+    """Each frame's assignment of least WCSS among its `restarts` consecutive
+    runs, ties to the earliest. `wcss` holds the runs' WCSS as `_lloyd` gives
+    it; its NaN entries, or all of them when it is None, are computed here."""
     runs = assigns.shape[0]
+    wcss = np.full(runs, np.nan) if wcss is None else wcss
+    redo = np.flatnonzero(np.isnan(wcss))
+    if redo.size:
+        wcss[redo] = _wcss(X[:, redo], assigns[redo], k)
     return assigns[np.arange(0, runs, restarts) + wcss.reshape(-1, restarts).argmin(axis=1)]
 
 
@@ -241,7 +273,11 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     labels, or a (frames, n, d) stack with a sequence of one seed per frame,
     giving (frames, n) labels. Each frame gets the labels it would get on its
     own, ties in WCSS going to the earliest restart. The restarts of many
-    frames run together in one Lloyd loop, in batches of bounded size.
+    frames run together in one Lloyd loop, in batches of bounded size. Each
+    squared distance is computed once: the seeding's distance rows serve
+    Lloyd's first pass, and a restart that stops on a repeated assignment takes
+    its WCSS from that last pass; only restarts that hit `max_iters` or
+    re-seeded in their last pass are measured again.
 
     A frame's restarts all draw from one ``np.random.default_rng(seed)``:
     first ``integers(n, size=restarts)``, restart r's first center; then one
@@ -283,8 +319,8 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         first = np.concatenate([g.integers(n, size=restarts) for g in rngs[lo:hi]])
         # k - 1 calls of random(restarts) draw what one random((k - 1, restarts)) does
         u = np.concatenate([g.random((k - 1, restarts)) for g in rngs[lo:hi]], axis=1)
-        assigns = _lloyd(X, _kmeans_pp(X, first, u), max_iters)
-        labels[lo:hi] = _best_restarts(X, assigns, k, restarts)
+        assigns, wcss = _lloyd(X, *_kmeans_pp(X, first, u), max_iters)
+        labels[lo:hi] = _best_restarts(X, assigns, k, restarts, wcss)
     # a copy, so that one frame's labels own their memory as a stack's do
     return labels if stacked else labels[0].copy()
 

@@ -97,7 +97,9 @@ def knn_graph(points, k: int) -> WeightedGraph:
     squared distances add one coordinate plane at a time, in coordinate order.
     Each row's k-th smallest distance comes from np.partition; the points
     strictly closer are all taken, and the points at exactly that distance fill
-    the remaining places in index order. Points must be finite.
+    the remaining places in index order. Points must be finite, and so must
+    each point's k smallest squared distances: a ValueError names the overflow
+    otherwise.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -109,18 +111,22 @@ def knn_graph(points, k: int) -> WeightedGraph:
         raise ValueError("points must be finite")
     d2 = np.zeros((n, n))
     buf = np.empty((n, n))
-    for x in pts.T:
-        np.subtract(x[:, None], x[None, :], out=buf)
-        d2 += np.square(buf, out=buf)
+    with np.errstate(over="ignore"):
+        for x in pts.T:
+            np.subtract(x[:, None], x[None, :], out=buf)
+            d2 += np.square(buf, out=buf)
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    if np.isinf(kth).any():
+        raise ValueError("squared distances overflow float64: the points are too far apart")
     chosen = d2 < kth
     tied = d2 == kth
-    # the tied points fill the places left by the strictly closer ones, lowest index first
     room = k - chosen.sum(axis=1, keepdims=True)
-    chosen |= tied & (np.cumsum(tied, axis=1) <= room)
-    src, dst = np.nonzero(chosen)
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    pairs = np.unique(lo * n + hi)
-    edges = np.column_stack([pairs // n, pairs % n, np.ones(pairs.size)])
+    # where more points tie at the threshold than places are left, the lowest
+    # indices fill them
+    surplus = np.flatnonzero(tied.sum(axis=1, keepdims=True) > room)
+    tied[surplus] &= np.cumsum(tied[surplus], axis=1) <= room[surplus]
+    chosen |= tied
+    src, dst = np.nonzero(np.triu(chosen | chosen.T, 1))
+    edges = np.column_stack([src, dst, np.ones(src.size)])
     return WeightedGraph(n, edges)

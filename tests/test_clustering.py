@@ -14,8 +14,11 @@ from tvclust.clustering import (
     LabelSequence,
     _best_restarts,
     _cluster_means,
+    _kmeans_pp,
+    _lloyd,
     _max_assignment,
     _sq_dists,
+    _wcss,
     align_labels,
     align_sequence,
     kmeans,
@@ -254,6 +257,67 @@ class TestKmeans:
             second += pick
         # the rounding decides: some pairs go to the second restart
         assert 0 < second < 20
+
+    def test_one_distance_pass_per_lloyd_pass(self, monkeypatch):
+        """Far-apart groups settle in two Lloyd passes. The seeding's rows serve
+        the first and the second gives the WCSS, so k-means computes distances
+        once per seed and once more."""
+        rng = np.random.default_rng(5)
+        k = 3
+        pts = np.concatenate([rng.normal(100.0 * c, 0.1, (12, 2)) for c in range(k)])
+        real = tvclust.clustering._sq_dists
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tvclust.clustering, "_sq_dists", counting)
+        labels = kmeans(pts, k, seed=2, restarts=6)
+        assert calls == [1] * k + [k]
+        assert np.array_equal(labels, kmeans_oracle(pts, k, seed=2, restarts=6))
+
+    def test_seeding_rows_are_the_centers_distances(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((3, 4, 30))
+        C, d2 = _kmeans_pp(X, rng.integers(30, size=4), rng.random((4, 4)))
+        assert d2.tobytes() == _sq_dists(X, C).tobytes()
+
+    def test_stopping_pass_wcss_is_the_recomputed_wcss(self):
+        """On mirrored near-tie point sets, where only the rounding of the WCSS
+        recipe picks between restarts, a run that stops on a repeated
+        assignment reports the WCSS that recomputing it gives, bit for bit."""
+        known = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            half = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-3, 4, (20, 3))
+            pts = np.vstack([half, -half[::-1]])
+            a = rng.integers(0, 3, 40)
+            X = np.repeat(pts.T[:, None, :], 2, axis=1)
+            C = _cluster_means(X, np.stack([a, a[::-1]]), 3)
+            assigns, wcss = _lloyd(X, C, _sq_dists(X, C), 300)
+            stopped = ~np.isnan(wcss)
+            known += int(stopped.sum())
+            want = _wcss(X[:, stopped], assigns[stopped], 3)
+            assert wcss[stopped].tobytes() == want.tobytes(), seed
+            for r in np.flatnonzero(stopped):
+                assert wcss[r] == wcss_oracle(pts, assigns[r]), seed
+            assert np.array_equal(
+                _best_restarts(X, assigns, 3, 2, wcss.copy()), _best_restarts(X, assigns, 3, 2)
+            )
+        assert known > 20
+
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    def test_reseeded_and_capped_runs_recompute_their_wcss(self, max_iters):
+        """Identical points re-seed in every pass: with one pass every run hits
+        the cap, with two every run stops on a repeat right after a re-seed.
+        Neither knows its WCSS from the last pass, and both match the oracle."""
+        pts = np.zeros((7, 2))
+        X = np.repeat(pts.T[:, None, :], 4, axis=1)
+        C, d2 = _kmeans_pp(X, np.arange(4), np.full((2, 4), 0.5))
+        assert np.isnan(_lloyd(X, C, d2, max_iters)[1]).all()
+        got = kmeans(pts, 3, seed=3, restarts=4, max_iters=max_iters)
+        assert np.array_equal(got, kmeans_oracle(pts, 3, seed=3, restarts=4, max_iters=max_iters))
 
     def test_overflowing_wcss_keeps_the_first_restart(self):
         # every restart scores inf, so none is below the first; labels still come back

@@ -121,6 +121,12 @@ class TestKnnGraph:
         with pytest.raises(ValueError, match="finite"):
             knn_graph(pts, 1)
 
+    def test_overflowing_distances_rejected(self):
+        # the squared distances overflow to inf, which the inf diagonal would tie
+        pts = np.array([[0.0, 0, 0], [1e200, 0, 0], [2e200, 0, 0]])
+        with pytest.raises(ValueError, match="overflow"):
+            knn_graph(pts, 1)
+
 
 def _lattice(side, dim):
     axes = np.meshgrid(*[np.arange(side, dtype=float)] * dim, indexing="ij")

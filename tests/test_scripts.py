@@ -94,6 +94,40 @@ def test_bench_pairs_summary():
     assert got["acc"]["better"] == "higher"
     one = bench_pairs.summarize(pairs[:1], {"cpu_s": "lower"})["cpu_s"]
     assert one["parent"]["quartiles"] == [3.0, 3.0]
+    # 3 of 5 pairs won is no gain; without a bound there is no bound verdict
+    assert got["cpu_s"]["gain"] is False and got["cpu_s"]["within_bound"] is None
+    bounded = bench_pairs.summarize(pairs, {"cpu_s": "lower", "acc": "higher"},
+                                    {"cpu_s": 0.25, "acc": 0.25})
+    # acc's median fell from 3.0 to 2.0, by more than a quarter of 3.0
+    assert (bounded["cpu_s"]["within_bound"], bounded["acc"]["within_bound"]) == (True, False)
+
+
+def _summary_of(parent, change, better="lower", bound=0.05):
+    pairs = [{"seed": s, "parent": {"m": p}, "change": {"m": c}}
+             for s, (p, c) in enumerate(zip(parent, change))]
+    return _bench_pairs().summarize(pairs, {"m": better}, {"m": bound})["m"]
+
+
+def test_bench_pairs_gain_and_bound():
+    """A gain needs 9 of 10 pairs won, ties counting as no win, and a gap between
+    the medians wider than the parent's interquartile distance; the bound is
+    relative to the parent's median."""
+    parent = [10.0, 11.0, 12.0, 10.5, 11.5, 10.0, 11.0, 12.0, 10.5, 11.5]  # median 11, IQR 1
+    got = _summary_of(parent, [p - 2.0 for p in parent[:9]] + [13.0])
+    assert (got["change_won"], got["gain"], got["within_bound"]) == (9, True, True)
+    # 8 won and 2 tied is no gain
+    got = _summary_of(parent, [p - 2.0 for p in parent[:8]] + parent[8:])
+    assert (got["change_won"], got["tied"], got["gain"]) == (8, 2, False)
+    # every pair won, but the medians are closer than the parent's spread
+    got = _summary_of(parent, [p - 0.5 for p in parent])
+    assert (got["change_won"], got["gain"]) == (10, False)
+    # higher is better: the same gaps the other way round
+    got = _summary_of(parent, [p + 2.0 for p in parent], better="higher")
+    assert (got["change_won"], got["gain"], got["within_bound"]) == (10, True, True)
+    # 5% of a median of 11 is 0.55: a change median of 11.5 is within, 11.66 is not
+    assert _summary_of(parent, [p + 0.5 for p in parent], bound=0.05)["within_bound"] is True
+    assert _summary_of(parent, [p + 0.66 for p in parent], bound=0.05)["within_bound"] is False
+    assert _summary_of(parent, [p - 0.66 for p in parent], better="higher")["within_bound"] is False
 
 
 def test_bench_pairs_records_differing_accuracy(capsys):

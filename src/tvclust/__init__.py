@@ -28,7 +28,6 @@ _EXPORTS = {
     "sbm_tv_sequence": "generators",
     "TVGraphSequence": "graphs",
     "WeightedGraph": "graphs",
-    "build_laplacian": "graphs",
     "dense_laplacian": "graphs",
     "largest_eigenvalue": "graphs",
     "smallest_eigenvectors": "graphs",
@@ -46,6 +45,7 @@ _EXPORTS = {
     "prox_slab": "prox",
     "prox_sphere": "prox",
     "soft_threshold": "prox",
+    "BlockLaplacian": "solver",
     "SolveResult": "solver",
     "SolverConfig": "solver",
     "SolverError": "solver",

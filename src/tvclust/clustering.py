@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import TVGraphSequence, build_laplacian, dense_laplacian, smallest_eigenvectors
+from .graphs import TVGraphSequence, dense_laplacian, smallest_eigenvectors
 from .prox import prox_slab_frames, prox_sphere_frames
 from .solver import BlockLaplacian, SolveResult, SolverConfig, pds_solve
 
@@ -458,12 +458,15 @@ def tv_cluster_multi(
     all-ones vector and to the cluster vectors found before it.
 
     Level l (1 to k-1) starts from the eigenvector of the l-th smallest
-    eigenvalue (counting from 0) of the time-averaged Laplacian. Averaging pools
+    eigenvalue (counting from 0) of the time-averaged Laplacian, the sum of the
+    frames' dense_laplacian divided by t_len. Averaging pools
     the per-frame spectra, which separates slowly drifting cluster structure
     that no single frame resolves; per-frame eigenvectors start the solve inside
     frame-noise basins it cannot leave. All levels take their starts from one
     eigensolve, so the starts are orthonormal even where an eigenvalue repeats:
     on a graph with several components every level starts in the null space.
+    All levels solve on one BlockLaplacian of the sequence, so its block and
+    beta are built once.
 
     Returns the labels, the (t_len, n, k-1) cluster vectors and each solve's
     result. For k = 2 the labels are the signs of the one cluster vector; for
@@ -474,12 +477,12 @@ def tv_cluster_multi(
         raise ValueError("k must be >= 2")
     if k > seq.n:
         raise ValueError("k must not exceed the node count")
-    Ls = [build_laplacian(g) for g in seq.graphs]
     warm_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG)
     )
-    _, starts = smallest_eigenvectors(sum(Ls).toarray() / seq.t_len, k)
-    op = BlockLaplacian(Ls)  # every level solves on the same Laplacians
+    mean_laplacian = sum(dense_laplacian(g) for g in seq.graphs) / seq.t_len
+    _, starts = smallest_eigenvectors(mean_laplacian, k)
+    op = BlockLaplacian(seq)  # every level solves on the same operator
     V = np.ones((seq.t_len, 1, seq.n))
     results: list[SolveResult] = []
     for level in range(1, k):

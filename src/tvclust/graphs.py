@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -124,68 +124,48 @@ def _laplacian_entries(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.nda
     return rows, cols, vals
 
 
-def build_laplacian(g: WeightedGraph) -> scipy.sparse.csr_matrix:
-    """Combinatorial Laplacian in CSR: degrees on the diagonal, -w off it; rows sum to zero."""
-    import scipy.sparse
-
-    rows, cols, vals = _laplacian_entries(g)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-
-
 def dense_laplacian(g: WeightedGraph) -> np.ndarray:
-    """The Laplacian of build_laplacian as an (n, n) numpy array, equal to its
-    ``toarray()`` bit for bit: entries are added to zeros, as ``toarray`` adds
-    them, so the -w of a zero-weight edge is stored as +0.0. Needs no scipy."""
+    """The combinatorial Laplacian as an (n, n) numpy array: degrees on the
+    diagonal, -w off it; rows sum to zero. Entries are added to zeros, as
+    scipy's ``toarray`` adds them, so the -w of a zero-weight edge is stored as
+    +0.0 and the array equals ``block_laplacian`` of the one-frame sequence
+    made ``toarray()``, bit for bit. Needs no scipy."""
     rows, cols, vals = _laplacian_entries(g)
     L = np.zeros((g.n, g.n))
     L[rows, cols] += vals
     return L
 
 
-def block_laplacian(Ls: Sequence[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
-    """The block-diagonal CSR of the blocks Ls, bit-identical to
-    ``scipy.sparse.block_diag(Ls, format="csr")``: same index dtype, same
-    ``indptr``, ``indices`` and ``data``, with sorted indices and no duplicates.
+def block_laplacian(seq: TVGraphSequence) -> scipy.sparse.csr_matrix:
+    """The block-diagonal CSR Laplacian of the sequence, frame t in rows and
+    columns t*n to (t+1)*n, the operator of the splitting iteration.
 
-    Assembled from each block's CSR arrays, shifted by the rows and columns
-    before it, without block_diag's round trip through COO. A block whose
-    indices are unsorted or repeated is first brought to canonical form, as
-    block_diag's conversion does.
+    One ``csr_matrix((vals, (rows, cols)))`` call on every frame's Laplacian
+    entries, shifted by t*n. The result has sorted indices and no duplicates,
+    and its ``indptr``, ``indices`` and ``data`` (index dtype included) equal
+    ``scipy.sparse.block_diag`` of the per-frame CSR matrices built the same
+    way; the -w of a zero-weight edge is stored as an explicit -0.0.
     """
     import scipy.sparse
 
-    if len(Ls) == 0:
-        raise ValueError("need at least one Laplacian")
-    blocks = []
-    for L in Ls:
-        L = L.tocsr()
-        if not L.has_canonical_format:
-            L = L.copy()
-            L.sum_duplicates()
-        blocks.append(L)
-    rows = np.cumsum([0] + [L.shape[0] for L in blocks])
-    cols = np.cumsum([0] + [L.shape[1] for L in blocks])
-    nnz = np.cumsum([0] + [L.nnz for L in blocks])
-    indptr = np.concatenate(
-        [[0]] + [L.indptr[1:].astype(np.int64) + nnz[b] for b, L in enumerate(blocks)]
-    )
-    indices = np.concatenate(
-        [L.indices.astype(np.int64) + cols[b] for b, L in enumerate(blocks)]
-    )
-    data = np.concatenate([L.data for L in blocks])
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(rows[-1], cols[-1]))
+    n = seq.n
+    parts = [_laplacian_entries(g) for g in seq.graphs]
+    rows = np.concatenate([r + t * n for t, (r, _, _) in enumerate(parts)])
+    cols = np.concatenate([c + t * n for t, (_, c, _) in enumerate(parts)])
+    vals = np.concatenate([v for _, _, v in parts])
+    size = seq.t_len * n
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def largest_eigenvalue(Ls: Sequence[scipy.sparse.csr_matrix]) -> float:
-    """Largest eigenvalue of a block-diagonal family: the maximum over its blocks
-    of the top eigenvalue of ``np.linalg.eigvalsh`` on the dense block.
+def largest_eigenvalue(seq: TVGraphSequence) -> float:
+    """Largest eigenvalue of the sequence's block-diagonal Laplacian: the
+    maximum over its frames of the top eigenvalue of ``np.linalg.eigvalsh`` on
+    the frame's dense_laplacian.
 
-    Exact to LAPACK precision. Blocks are solved one at a time, so only one
+    Exact to LAPACK precision. Frames are solved one at a time, so only one
     dense (n, n) copy exists at once.
     """
-    if len(Ls) == 0:
-        raise ValueError("need at least one Laplacian")
-    return max(float(np.linalg.eigvalsh(L.toarray())[-1]) for L in Ls)
+    return max(float(np.linalg.eigvalsh(dense_laplacian(g))[-1]) for g in seq.graphs)
 
 
 def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

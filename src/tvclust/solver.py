@@ -8,8 +8,9 @@ slabs |c_t . v| <= eps for every constraint direction v of that frame.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,7 +18,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .graphs import block_laplacian, largest_eigenvalue
+from .graphs import TVGraphSequence, block_laplacian, largest_eigenvalue
 from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
@@ -52,6 +53,9 @@ class SolverConfig:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        # a bool is an int to Python, and a float would fail only inside the solve
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -81,31 +85,24 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class BlockLaplacian:
-    """The operator of one Laplacian sequence, built once for every solve on it.
+    """The operator of one graph sequence, built once for every solve on it.
 
-    Holds the block-diagonal CSR of the Laplacians (graphs.block_laplacian),
-    their largest eigenvalue beta (graphs.largest_eigenvalue), the number of
-    frames t_len and the node count n. The Laplacians must be square and share
-    one dimension; an empty sequence or mismatched shapes raise ValueError.
+    Holds the block-diagonal CSR Laplacian of the sequence
+    (graphs.block_laplacian), its largest eigenvalue beta
+    (graphs.largest_eigenvalue), the number of frames t_len and the node count n.
     """
 
-    laplacians: InitVar[Sequence[scipy.sparse.csr_matrix]]
-    matrix: scipy.sparse.csr_matrix = field(init=False)
+    seq: InitVar[TVGraphSequence]
+    matrix: scipy.sparse.spmatrix = field(init=False)
     beta: float = field(init=False)
     t_len: int = field(init=False)
     n: int = field(init=False)
 
-    def __post_init__(self, laplacians):
-        Ls = tuple(laplacians)
-        if not Ls:
-            raise ValueError("need at least one Laplacian")
-        n = Ls[0].shape[0]
-        if any(L.shape != (n, n) for L in Ls):
-            raise ValueError("all Laplacian blocks must be square and share one dimension")
-        object.__setattr__(self, "matrix", block_laplacian(Ls))
-        object.__setattr__(self, "beta", largest_eigenvalue(Ls))
-        object.__setattr__(self, "t_len", len(Ls))
-        object.__setattr__(self, "n", n)
+    def __post_init__(self, seq):
+        object.__setattr__(self, "matrix", block_laplacian(seq))
+        object.__setattr__(self, "beta", largest_eigenvalue(seq))
+        object.__setattr__(self, "t_len", seq.t_len)
+        object.__setattr__(self, "n", seq.n)
 
 
 def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
@@ -275,18 +272,17 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
 
 
 def pds_solve(
-    Ls: BlockLaplacian | Sequence[scipy.sparse.csr_matrix],
+    op: BlockLaplacian,
     directions: np.ndarray,
     cfg: SolverConfig,
     init: np.ndarray,
 ) -> SolveResult:
     """Run the splitting iteration once from `init`.
 
-    `Ls` is the sequence's operator, either a BlockLaplacian or the list of
-    per-frame Laplacians, which is turned into a BlockLaplacian on entry.
-    Building the operator costs one dense eigvalsh per frame for beta, so
-    callers that solve on one sequence several times, as tv_cluster_multi does
-    once per deflation level, build it once and pass it to every solve. Each
+    `op` is the sequence's operator, BlockLaplacian(seq). Building it costs
+    one dense eigvalsh per frame for beta, so callers that solve on one
+    sequence several times, as tv_cluster_multi does once per deflation level,
+    build it once and pass it to every solve. Each
     iteration takes a primal step scaled onto the sphere and then the two
     dual steps in closed form: the temporal dual is clipped to [-alpha, alpha],
     and the slab dual, held as one coefficient per frame and direction, takes
@@ -313,7 +309,6 @@ def pds_solve(
     finite and with no all-zero frame. SolverError reports a non-finite iterate
     or an all-zero frame before the sphere scaling, naming the iteration.
     """
-    op = Ls if isinstance(Ls, BlockLaplacian) else BlockLaplacian(Ls)
     t_len, n = op.t_len, op.n
     V = np.asarray(directions, dtype=float)
     if V.ndim != 3 or V.shape[0] != t_len or V.shape[2] != n:

@@ -15,7 +15,7 @@ from tvclust import fileio
 from tvclust.cli import _solver_config, main
 from tvclust.clustering import LabelSequence, tv_cluster_multi
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
-from tvclust.graphs import TVGraphSequence, WeightedGraph, build_laplacian
+from tvclust.graphs import TVGraphSequence, WeightedGraph, dense_laplacian
 from tvclust.solver import SolverConfig, SolverError
 
 
@@ -358,7 +358,7 @@ class TestCluster:
         cfg = SolverConfig(alpha=2.0, max_iters=200, seed=report["seed"])
         labels, _, (solve,) = tv_cluster_multi(seq, 2, cfg)
         assert np.array_equal(fileio.read_labels(out / "est_g.lbl").labels, labels.labels)
-        want = objective_oracle([build_laplacian(g) for g in seq.graphs], solve.c, cfg.alpha)
+        want = objective_oracle([dense_laplacian(g) for g in seq.graphs], solve.c, cfg.alpha)
         assert report["converged"] is False
         assert report["final_objective"] == [pytest.approx(want, rel=1e-12)]
         assert report["beta"] == [solve.beta]

@@ -7,7 +7,6 @@ from tvclust.graphs import (
     TVGraphSequence,
     WeightedGraph,
     block_laplacian,
-    build_laplacian,
     dense_laplacian,
     largest_eigenvalue,
     smallest_eigenvectors,
@@ -21,6 +20,24 @@ def random_graph(rng, n, p=0.5):
             if rng.random() < p:
                 edges.append((i, j, float(rng.random()) + 0.05))
     return WeightedGraph(n, edges)
+
+
+def one_frame(g):
+    return TVGraphSequence((g,))
+
+
+def frame_laplacian(g):
+    """The CSR Laplacian of g, as block_laplacian builds it for a one-frame sequence."""
+    return block_laplacian(one_frame(g))
+
+
+def draw_graph(data, n):
+    """A hypothesis-drawn graph on n nodes: any set of pairs, possibly none, with
+    weights that include 0.0 and subnormals."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=True))
+    return WeightedGraph(n, [(i, j, data.draw(weights)) for i, j in chosen])
 
 
 def quad_double_sum(g, f):
@@ -61,25 +78,27 @@ class TestWeightedGraph:
 
 
 class TestBuildLaplacian:
+    """The CSR Laplacian of one frame."""
+
     def test_two_node_unit_edge(self):
-        L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
+        L = frame_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
         assert np.allclose(L.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_empty_graph_is_zero(self):
-        L = build_laplacian(WeightedGraph(3))
+        L = frame_laplacian(WeightedGraph(3))
         assert np.array_equal(L.toarray(), np.zeros((3, 3)))
 
     def test_unit_triangle(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         expect = np.full((3, 3), -1.0)
         np.fill_diagonal(expect, 2.0)
-        assert np.allclose(build_laplacian(g).toarray(), expect)
+        assert np.allclose(frame_laplacian(g).toarray(), expect)
 
     def test_row_sums_and_degree_diagonal(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 15)))
-            L = build_laplacian(g).toarray()
+            L = frame_laplacian(g).toarray()
             max_deg = max(g.degrees().max(), 1.0)
             assert np.abs(L.sum(axis=1)).max() <= 1e-10 * max_deg
             assert np.allclose(np.diag(L), g.degrees())
@@ -88,7 +107,7 @@ class TestBuildLaplacian:
     def test_psd_on_random_probes(self):
         rng = np.random.default_rng(12)
         g = random_graph(rng, 10)
-        L = build_laplacian(g)
+        L = frame_laplacian(g)
         for _ in range(50):
             x = rng.standard_normal(10)
             assert float(x @ (L @ x)) >= -1e-10 * float(x @ x)
@@ -98,7 +117,7 @@ class TestDenseLaplacian:
     @staticmethod
     def assert_same_bits(g):
         dense = dense_laplacian(g)
-        want = build_laplacian(g).toarray()
+        want = frame_laplacian(g).toarray()
         assert dense.dtype == want.dtype and dense.shape == want.shape == (g.n, g.n)
         assert dense.tobytes() == want.tobytes()
 
@@ -120,24 +139,20 @@ class TestDenseLaplacian:
         data=st.data(),
     )
     def test_matches_build_laplacian(self, n, data):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=True))
-        edges = [(i, j, data.draw(weights)) for i, j in chosen]
-        self.assert_same_bits(WeightedGraph(n, edges))
+        self.assert_same_bits(draw_graph(data, n))
 
 
 class TestQuadraticForm:
-    """The quadratic form x'Lx of build_laplacian's matrix."""
+    """The quadratic form x'Lx of a frame's CSR Laplacian."""
 
     def test_constant_signal_is_zero(self):
         g = WeightedGraph(4, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
-        L = build_laplacian(g)
+        L = frame_laplacian(g)
         x = np.full(4, 3.7)
         assert abs(float(x @ (L @ x))) < 1e-12
 
     def test_two_node_antipodal(self):
-        L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
+        L = frame_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
         x = np.array([1.0, -1.0])
         assert float(x @ (L @ x)) == pytest.approx(4.0, abs=1e-12)
 
@@ -147,17 +162,18 @@ class TestQuadraticForm:
             n = int(rng.integers(2, 12))
             g = random_graph(rng, n)
             f = rng.standard_normal(n)
-            got = float(f @ (build_laplacian(g) @ f))
+            got = float(f @ (frame_laplacian(g) @ f))
             want = quad_double_sum(g, f)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
-def complete_graph(n):
-    return WeightedGraph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+def complete_graph(n, size=None):
+    """K_n, on the first n of `size` nodes (default n)."""
+    return WeightedGraph(size or n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
 
 
-def star_graph(n):
-    return WeightedGraph(n, [(0, j, 1.0) for j in range(1, n)])
+def star_graph(n, size=None):
+    return WeightedGraph(size or n, [(0, j, 1.0) for j in range(1, n)])
 
 
 def path_graph(n):
@@ -168,38 +184,37 @@ class TestMaxEigenvalue:
     """largest_eigenvalue against closed forms of the Laplacian's lambda_max."""
 
     def test_two_node_unit_edge(self):
-        L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        assert largest_eigenvalue([L]) == pytest.approx(2.0, rel=1e-12)
+        seq = one_frame(WeightedGraph(2, [(0, 1, 1.0)]))
+        assert largest_eigenvalue(seq) == pytest.approx(2.0, rel=1e-12)
 
     def test_complete_graph(self):
         for n in (2, 3, 7, 30):
-            L = build_laplacian(complete_graph(n))
-            assert largest_eigenvalue([L]) == pytest.approx(n, rel=1e-12)
+            assert largest_eigenvalue(one_frame(complete_graph(n))) == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 7, 30])
     def test_star_graph(self, n):
-        assert largest_eigenvalue([build_laplacian(star_graph(n))]) == pytest.approx(
-            n, rel=1e-12
-        )
+        assert largest_eigenvalue(one_frame(star_graph(n))) == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 30])
     def test_path_graph(self, n):
         want = 2.0 + 2.0 * np.cos(np.pi / n)
-        assert largest_eigenvalue([build_laplacian(path_graph(n))]) == pytest.approx(
-            want, rel=1e-12
-        )
+        assert largest_eigenvalue(one_frame(path_graph(n))) == pytest.approx(want, rel=1e-12)
 
     def test_block_diagonal_maximum(self):
-        Ls = [build_laplacian(g) for g in (path_graph(6), complete_graph(5), star_graph(4))]
-        assert largest_eigenvalue(Ls) == pytest.approx(5.0, rel=1e-12)
-        assert largest_eigenvalue(Ls[::-1]) == largest_eigenvalue(Ls)
+        # lambda_max 2 + 2 cos(pi/6), 5 and 4: the isolated nodes add zeros
+        graphs = (path_graph(6), complete_graph(5, size=6), star_graph(4, size=6))
+        assert largest_eigenvalue(TVGraphSequence(graphs)) == pytest.approx(5.0, rel=1e-12)
+        assert largest_eigenvalue(TVGraphSequence(graphs[::-1])) == largest_eigenvalue(
+            TVGraphSequence(graphs)
+        )
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            largest_eigenvalue([])
+        # an empty family never reaches the eigensolver: the sequence refuses it
+        with pytest.raises(ValueError, match="need at least one time slot"):
+            largest_eigenvalue(TVGraphSequence(()))
 
     def test_zero_matrix(self):
-        value = largest_eigenvalue([build_laplacian(WeightedGraph(4))])
+        value = largest_eigenvalue(one_frame(WeightedGraph(4)))
         assert type(value) is float
         assert value == 0.0
 
@@ -207,13 +222,28 @@ class TestMaxEigenvalue:
         rng = np.random.default_rng(5)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(3, 20)))
-            L = build_laplacian(g)
-            want = float(np.linalg.eigvalsh(L.toarray()).max())
-            assert largest_eigenvalue([L]) == want
+            want = float(np.linalg.eigvalsh(frame_laplacian(g).toarray()).max())
+            assert largest_eigenvalue(one_frame(g)) == want
+
+
+def per_frame_csr(g):
+    """A frame's Laplacian as one CSR matrix of its own: -w at (i, j) and (j, i),
+    then the degrees on the diagonal, from one csr_matrix((vals, (rows, cols)))."""
+    import scipy.sparse
+
+    i, j, w = g.edge_arrays()
+    diag = np.arange(g.n)
+    rows = np.concatenate([i, j, diag])
+    cols = np.concatenate([j, i, diag])
+    vals = np.concatenate([-w, -w, g.degrees()])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
 
 
 class TestBlockLaplacian:
-    """block_laplacian against scipy.sparse.block_diag(Ls, format="csr"), array by array."""
+    """block_laplacian and largest_eigenvalue against the per-frame construction:
+    one CSR matrix per frame, joined by scipy.sparse.block_diag(Ls, format="csr"),
+    and beta as the top eigvalsh of each frame's toarray(); array by array and
+    bit for bit."""
 
     @staticmethod
     def assert_same_csr(got, want):
@@ -226,46 +256,49 @@ class TestBlockLaplacian:
         assert got.has_sorted_indices == want.has_sorted_indices
         assert got.has_sorted_indices
 
-    @staticmethod
-    def block_diag(Ls):
+    @classmethod
+    def assert_matches_per_frame(cls, seq):
         import scipy.sparse
 
-        return scipy.sparse.block_diag(Ls, format="csr")
+        Ls = [per_frame_csr(g) for g in seq.graphs]
+        cls.assert_same_csr(block_laplacian(seq), scipy.sparse.block_diag(Ls, format="csr"))
+        beta = max(float(np.linalg.eigvalsh(L.toarray())[-1]) for L in Ls)
+        assert largest_eigenvalue(seq) == beta
 
     def test_frames_of_differing_nnz_and_an_edgeless_frame(self):
         rng = np.random.default_rng(11)
         graphs = [random_graph(rng, 9, p) for p in (0.2, 0.9, 0.5)]
         graphs.insert(1, WeightedGraph(9))
-        Ls = [build_laplacian(g) for g in graphs]
-        assert len({L.nnz for L in Ls}) == 4
-        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+        assert len({g.num_edges for g in graphs}) == 4
+        self.assert_matches_per_frame(TVGraphSequence(tuple(graphs)))
 
     def test_single_frame(self):
-        Ls = [build_laplacian(random_graph(np.random.default_rng(12), 7))]
-        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
+        self.assert_matches_per_frame(one_frame(random_graph(np.random.default_rng(12), 7)))
 
-    def test_blocks_without_stored_entries(self):
-        import scipy.sparse
+    def test_one_node(self):
+        self.assert_matches_per_frame(TVGraphSequence((WeightedGraph(1), WeightedGraph(1))))
 
-        Ls = [scipy.sparse.csr_matrix((4, 4)), build_laplacian(path_graph(4)),
-              scipy.sparse.csr_matrix((4, 4))]
-        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
-
-    def test_unsorted_and_repeated_indices_are_canonicalized(self):
-        import scipy.sparse
-
-        raw = scipy.sparse.csr_matrix(
-            (np.array([1.0, 2.0, 3.0, 4.0, 0.5]), np.array([2, 0, 2, 1, 1]),
-             np.array([0, 3, 5, 5])),
-            shape=(3, 3),
-        )
-        Ls = [build_laplacian(path_graph(3)), raw]
-        self.assert_same_csr(block_laplacian(Ls), self.block_diag(Ls))
-        assert raw.indices.tolist() == [2, 0, 2, 1, 1]  # the input is left as it was
+    def test_zero_weight_edges_stay_explicit(self):
+        g = WeightedGraph(3, [(0, 1, 0.0), (1, 2, 1.0)])
+        L = block_laplacian(TVGraphSequence((WeightedGraph(3), g)))
+        self.assert_matches_per_frame(TVGraphSequence((WeightedGraph(3), g)))
+        # frame 1 starts at row 3; its zero-weight edge is stored as -0.0 at (3, 4)
+        start, stop = L.indptr[3], L.indptr[4]
+        assert L.indices[start:stop].tolist() == [3, 4]
+        assert np.signbit(L.data[start + 1]) and L.data[start + 1] == 0.0
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="need at least one Laplacian"):
-            block_laplacian([])
+        # an empty family never reaches the block build: the sequence refuses it
+        with pytest.raises(ValueError, match="need at least one time slot"):
+            block_laplacian(TVGraphSequence(()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 9), t_len=st.integers(1, 4), data=st.data())
+    def test_matches_per_frame_construction(self, n, t_len, data):
+        """Any sequence, edgeless frames, zero and subnormal weights, T = 1 and
+        n = 1 included."""
+        graphs = tuple(draw_graph(data, n) for _ in range(t_len))
+        self.assert_matches_per_frame(TVGraphSequence(graphs))
 
 
 class TestSmallestEigenvectors:
@@ -312,7 +345,7 @@ class TestSmallestEigenvectors:
     @pytest.mark.parametrize(
         "L",
         [
-            build_laplacian(WeightedGraph(3, [(0, 1, 1.0)])),
+            frame_laplacian(WeightedGraph(3, [(0, 1, 1.0)])),
             np.zeros(3),
             np.zeros((3, 2)),
             np.zeros((1, 3, 3)),

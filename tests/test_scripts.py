@@ -1,5 +1,6 @@
 """The example scripts and the console-script entry start and print their help;
-the point-cloud example prints aligned label changes."""
+the point-cloud example prints aligned label changes; the README's solver
+example runs as written."""
 
 import importlib
 import importlib.util
@@ -67,6 +68,19 @@ def test_console_script_entry_runs_on_one_blas_thread():
     assert res.returncode == 0, res.stderr
     assert "Usage:" in res.stdout
     assert res.stdout.splitlines()[-1] == "THREADS 1"
+
+
+def test_readme_solver_example_runs():
+    """The README's python block that calls pds_solve runs verbatim in a fresh
+    interpreter: it imports and builds everything it uses."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    block = next(b for b in blocks if "pds_solve(" in b)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def _bench_pairs():

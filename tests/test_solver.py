@@ -2,7 +2,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,7 @@ from tvclust.generators import SbmTvParams, sbm_static, sbm_tv_sequence
 from tvclust.graphs import (
     TVGraphSequence,
     WeightedGraph,
-    build_laplacian,
+    block_laplacian,
     dense_laplacian,
     largest_eigenvalue,
     smallest_eigenvectors,
@@ -37,6 +36,11 @@ def two_block_graph(seed, n=40, p_in=0.9, p_out=0.05):
     return sbm_static(labels, p_in, p_out, rng), labels
 
 
+def operator(*graphs):
+    """The solver's operator of the sequence of these graphs."""
+    return BlockLaplacian(TVGraphSequence(graphs))
+
+
 def assert_feasible(res, V, eps):
     C = res.c
     n = C.shape[1]
@@ -52,6 +56,18 @@ class TestSolverConfig:
             SolverConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, 5.0, True, np.bool_(True), "5"])
+    def test_rejects_non_integer_max_iters(self, value):
+        # 2.5 used to fail inside the solve, and True to run one iteration
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=4))
+        cfg = SolverConfig(alpha=2.0, max_iters=np.int64(5))
+        _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
+        assert (res.iters, res.converged) == (5, False)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["alpha"])
@@ -82,7 +98,7 @@ class TestSolveResult:
         g, _ = two_block_graph(seed=19, n=10)
         seq = TVGraphSequence((g, g))
         _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(seed=0, max_iters=5))
-        assert res.beta == largest_eigenvalue([build_laplacian(g)] * 2)
+        assert res.beta == largest_eigenvalue(seq)
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -120,7 +136,7 @@ class TestBitIdentity:
         init -= init.mean(axis=1, keepdims=True)
         init *= np.sqrt(20) / np.linalg.norm(init, axis=1, keepdims=True)
         V = np.ones((2, 1, 20))
-        res = pds_solve([build_laplacian(g)] * 2, V, SolverConfig(alpha=0.5, seed=3), init)
+        res = pds_solve(operator(g, g), V, SolverConfig(alpha=0.5, seed=3), init)
         self.assert_pinned(
             res, 655, True, 26.625657766031065,
             "c33dd27234105a3ad0dff9a7aa1d069d8742e13a3b4704af29a0aad84af597ce",
@@ -140,53 +156,24 @@ class TestBitIdentity:
 
 
 class TestBlockLaplacian:
-    """The operator built once per sequence: its contents, its checks, and solves on it."""
+    """The operator built once per sequence."""
 
     def test_holds_block_beta_and_shape(self):
         seq, _ = sbm_tv_sequence(SbmTvParams(6, 2, 3, 0.8, 0.1, 0.05, seed=2))
-        Ls = [build_laplacian(g) for g in seq.graphs]
-        op = BlockLaplacian(Ls)
-        want = scipy.sparse.block_diag(Ls, format="csr")
+        op = BlockLaplacian(seq)
+        want = block_laplacian(seq)
         assert (op.t_len, op.n, op.matrix.shape) == (3, 12, (36, 36))
         for name in ("indptr", "indices", "data"):
             assert getattr(op.matrix, name).tobytes() == getattr(want, name).tobytes()
-        assert op.beta == largest_eigenvalue(Ls)
+        dense = op.matrix.toarray()
+        for t, g in enumerate(seq.graphs):
+            frame = slice(12 * t, 12 * (t + 1))
+            assert np.array_equal(dense[frame, frame], dense_laplacian(g))
+            dense[frame, frame] = 0.0
+        assert not dense.any()
+        assert op.beta == largest_eigenvalue(seq)
         with pytest.raises(AttributeError):
             op.beta = 1.0
-
-    @pytest.mark.parametrize(
-        "Ls, match",
-        [
-            ([], "need at least one Laplacian"),
-            ([scipy.sparse.identity(3, format="csr"), scipy.sparse.identity(4, format="csr")],
-             "all Laplacian blocks must be square and share one dimension"),
-            ([scipy.sparse.csr_matrix((3, 4))],
-             "all Laplacian blocks must be square and share one dimension"),
-        ],
-        ids=["empty", "mismatched", "not-square"],
-    )
-    def test_rejects_what_pds_solve_rejects(self, Ls, match):
-        with pytest.raises(ValueError, match=match):
-            BlockLaplacian(Ls)
-        with pytest.raises(ValueError, match=match):
-            pds_solve(Ls, np.ones((1, 1, 3)), SolverConfig(), np.ones((1, 3)))
-
-    @pytest.mark.parametrize("max_iters", [40, 20000], ids=["capped", "settled"])
-    def test_list_and_operator_solve_bit_for_bit(self, max_iters):
-        g = sbm_static(np.repeat([0, 1], 10), 0.9, 0.05, np.random.default_rng(3))
-        h = sbm_static(np.repeat([0, 1], 10), 0.8, 0.1, np.random.default_rng(4))
-        Ls = [build_laplacian(g), build_laplacian(h), build_laplacian(g)]
-        init = np.random.default_rng(9).standard_normal((3, 20))
-        init -= init.mean(axis=1, keepdims=True)
-        V = np.ones((3, 1, 20))
-        cfg = SolverConfig(alpha=0.5, max_iters=max_iters)
-        a = pds_solve(Ls, V, cfg, init)
-        b = pds_solve(BlockLaplacian(Ls), V, cfg, init)
-        fields = ("iters", "converged", "objective", "beta")
-        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-        assert a.c.tobytes() == b.c.tobytes()
-        assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
-        assert a.converged == (max_iters == 20000)
 
 
 def _outcome(fn, *args):
@@ -217,7 +204,7 @@ class TestIterateMatchesOperatorComposition:
         start both raise the same SolverError."""
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
-        Ls = [build_laplacian(sbm_static(labels, 0.8, 0.2, rng)) for _ in range(t_len)]
+        seq = TVGraphSequence(tuple(sbm_static(labels, 0.8, 0.2, rng) for _ in range(t_len)))
         V = np.ones((t_len, 1, n))
         if extra_directions:
             u = rng.standard_normal((t_len, extra_directions, n))
@@ -226,9 +213,9 @@ class TestIterateMatchesOperatorComposition:
         C0 = rng.standard_normal((t_len, n))
         if zero_row:
             C0[0] = 0.0
-        g1, g2 = default_step_sizes(largest_eigenvalue(Ls), alpha)
+        g1, g2 = default_step_sizes(largest_eigenvalue(seq), alpha)
         eps = eps_scale * np.sqrt(n)
-        Lblock = scipy.sparse.block_diag(Ls, format="csr")
+        Lblock = block_laplacian(seq)
         args = (eps, alpha, g1, g2, 1e-5, max_iters, C0)
         got = _outcome(tvclust.solver._iterate, Lblock, V, *args)
         want = _outcome(pds_iterate_oracle, Lblock, V, *args)
@@ -246,7 +233,7 @@ class TestObjective:
         the difference buffer keeps row 0 at zero and has |C[t] - C[t-1]| below it."""
         rng = np.random.default_rng(t_len)
         n = 12
-        Ls = [build_laplacian(sbm_static(rng.integers(0, 3, n), 0.7, 0.3, rng))
+        Ls = [dense_laplacian(sbm_static(rng.integers(0, 3, n), 0.7, 0.3, rng))
               for _ in range(t_len)]
         C = rng.standard_normal((t_len, n))
         LC = np.stack([L @ c for L, c in zip(Ls, C)])
@@ -282,18 +269,17 @@ class TestPdsSolve:
     def test_large_alpha_forces_frame_agreement(self):
         g, _ = two_block_graph(seed=4, n=20)
         seq = TVGraphSequence((g, g))
-        Ls = [build_laplacian(gr) for gr in seq.graphs]
         V = np.ones((2, 1, g.n))
         rng = np.random.default_rng(9)
         init = rng.standard_normal((2, g.n))
         init -= init.mean(axis=1, keepdims=True)
         init *= np.sqrt(g.n) / np.linalg.norm(init, axis=1, keepdims=True)
-        beta = largest_eigenvalue(Ls)
+        beta = largest_eigenvalue(seq)
         # steps 1/(beta + 50) and beta/10, not the default 1/(beta + 8 * alpha), which
         # is far smaller at alpha = 1e4, so the iteration is called directly: the
         # frame difference vanishes at the optimum, so the temporal dual stays
         # interior and modest steps converge fast
-        Lblock = scipy.sparse.block_diag(Ls, format="csr")
+        Lblock = block_laplacian(seq)
         eps = tvclust.solver.DEFAULT_EPSILON_SCALE * np.sqrt(g.n)
         C, *_ = tvclust.solver._iterate(
             Lblock, V, eps, 1e4, 1.0 / (beta + 50.0), beta / 10.0, SIGMA, 20000, init
@@ -328,11 +314,11 @@ class TestPdsSolve:
 
     def test_seed_does_not_reach_the_solve(self):
         g, _ = two_block_graph(seed=10, n=16)
-        Ls = [build_laplacian(g)] * 3
+        op = operator(g, g, g)
         init = np.random.default_rng(1).standard_normal((3, g.n))
         V = np.ones((3, 1, g.n))
-        r1 = pds_solve(Ls, V, SolverConfig(alpha=1.0, seed=1, max_iters=300), init)
-        r2 = pds_solve(Ls, V, SolverConfig(alpha=1.0, seed=2, max_iters=300), init)
+        r1 = pds_solve(op, V, SolverConfig(alpha=1.0, seed=1, max_iters=300), init)
+        r2 = pds_solve(op, V, SolverConfig(alpha=1.0, seed=2, max_iters=300), init)
         assert np.array_equal(r1.c, r2.c)
         assert (r1.iters, r1.converged, r1.objective) == (r2.iters, r2.converged, r2.objective)
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
@@ -354,11 +340,11 @@ class TestPdsSolve:
         a short run ends no higher than it began, though its iterates may climb."""
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
-        Ls = [build_laplacian(sbm_static(labels, 0.5, 0.2, rng)) for _ in range(t_len)]
+        seq = TVGraphSequence(tuple(sbm_static(labels, 0.5, 0.2, rng) for _ in range(t_len)))
         V = np.ones((t_len, 1, n))
-        _, vecs = smallest_eigenvectors(sum(Ls).toarray() / t_len, 2)
+        _, vecs = smallest_eigenvectors(sum(map(dense_laplacian, seq.graphs)) / t_len, 2)
         init = _warm_start(vecs[:, 1], V, rng)
-        res = pds_solve(Ls, V, SolverConfig(alpha=alpha, max_iters=max_iters), init)
+        res = pds_solve(BlockLaplacian(seq), V, SolverConfig(alpha=alpha, max_iters=max_iters), init)
         start = res.objective_trace[0]
         assert res.objective <= start + 1e-9 * max(1.0, abs(start))
 
@@ -372,10 +358,9 @@ class TestPdsSolve:
 
     def test_shape_validation(self):
         g, _ = two_block_graph(seed=15, n=10)
-        Ls = [build_laplacian(g)]
         init = np.ones((1, g.n))
         with pytest.raises(ValueError):
-            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(), init)
+            pds_solve(operator(g), np.ones((2, 1, g.n)), SolverConfig(), init)
 
     @pytest.mark.parametrize(
         "shape, bad, match",
@@ -391,68 +376,64 @@ class TestPdsSolve:
     )
     def test_rejects_bad_directions(self, shape, bad, match):
         g, _ = two_block_graph(seed=15, n=10)
-        Ls = [build_laplacian(g)] * 2
         V = np.ones(shape)
         if bad is not None:
             V[1, 1] = bad
         with pytest.raises(ValueError, match=match):
-            pds_solve(Ls, V, SolverConfig(seed=0), np.ones((2, 10)))
+            pds_solve(operator(g, g), V, SolverConfig(seed=0), np.ones((2, 10)))
 
     def test_non_finite_detection_reports_iteration(self):
         # a finite start whose first step overflows
         g, _ = two_block_graph(seed=16, n=10)
-        Ls = [build_laplacian(gr) for gr in (g, g)]
         init = np.ones((2, g.n))
         init[1, 0] = 1e200
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="iteration 1"):
-            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
+            pds_solve(operator(g, g), np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
 
     def test_nan_slab_component_reports_iteration(self):
         # |v|^2 of a direction with entries 1e155 overflows, so the first slab
         # component is NaN after the first step; the coefficient step must pass the
         # NaN on rather than treat the frame as inside its slab
         g, _ = two_block_graph(seed=16, n=10)
-        Ls = [build_laplacian(g)] * 2
+        op = operator(g, g)
         V = np.full((2, 1, 10), 1e155)
         init = np.random.default_rng(1).standard_normal((2, 10))
         cfg = SolverConfig(alpha=1.0, max_iters=50)
-        g1, g2 = default_step_sizes(largest_eigenvalue(Ls), cfg.alpha)
+        g1, g2 = default_step_sizes(op.beta, cfg.alpha)
         eps = 1e-6 * np.sqrt(10)
         args = (V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, init)
         with np.errstate(all="ignore"):
-            want = _outcome(pds_iterate_oracle, scipy.sparse.block_diag(Ls, format="csr"), *args)
+            want = _outcome(pds_iterate_oracle, op.matrix, *args)
             assert want == ("SolverError", "non-finite iterate at iteration 1")
             with pytest.raises(SolverError, match=f"^{want[1]}$"):
-                pds_solve(Ls, V, cfg, init)
+                pds_solve(op, V, cfg, init)
 
     def test_zero_frame_in_sphere_step_reports_iteration(self):
         # on the complete graph K4, L c = 4c for a centred c, so the default primal
         # step 1/beta = 1/4 at alpha = 0 from that start lands exactly on zero
         edges = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
-        L = build_laplacian(WeightedGraph(4, edges))
+        op = operator(WeightedGraph(4, edges))
         cfg = SolverConfig(alpha=0.0)
         init = np.array([[1.0, -1.0, 1.0, -1.0]])
         with pytest.raises(SolverError, match="all-zero frame at iteration 1"):
-            pds_solve([L], np.ones((1, 1, 4)), cfg, init)
+            pds_solve(op, np.ones((1, 1, 4)), cfg, init)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_init(self, bad):
         g, _ = two_block_graph(seed=16, n=10)
-        Ls = [build_laplacian(gr) for gr in (g, g)]
         init = np.ones((2, g.n))
         init[1, 3] = bad
         with pytest.raises(ValueError, match="init must be finite"):
-            pds_solve(Ls, np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
+            pds_solve(operator(g, g), np.ones((2, 1, g.n)), SolverConfig(seed=0), init)
 
     def test_rejects_zero_frame_init(self):
         # a capped run whose start stays its best iterate would re-project the zero frame
         g = sbm_static(np.repeat([0, 1], 10), 0.5, 0.2, np.random.default_rng(4))
-        Ls = [build_laplacian(g)] * 2
         init = np.random.default_rng(0).standard_normal((2, 20))
         init[1] = 0.0
         cfg = SolverConfig(alpha=2.0, seed=0, max_iters=1)
         with pytest.raises(ValueError, match="init frames must be nonzero"):
-            pds_solve(Ls, np.ones((2, 1, 20)), cfg, init)
+            pds_solve(operator(g, g), np.ones((2, 1, 20)), cfg, init)
 
     def test_objective_describes_returned_iterate(self):
         # a capped solve returns a polished iterate (here its start), not the last one visited
@@ -460,6 +441,6 @@ class TestPdsSolve:
         cfg = SolverConfig(alpha=2.0, seed=4, max_iters=200)
         _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert not res.converged
-        want = objective_oracle([build_laplacian(g) for g in seq.graphs], res.c, cfg.alpha)
+        want = objective_oracle([dense_laplacian(g) for g in seq.graphs], res.c, cfg.alpha)
         assert res.objective == pytest.approx(want, rel=1e-12)
         assert res.objective_trace[-1] != pytest.approx(want, rel=1e-3)

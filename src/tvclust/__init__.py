@@ -36,7 +36,6 @@ _EXPORTS = {
     "eigengap_profile": "metrics",
     "label_changes": "metrics",
     "pair_accuracy": "metrics",
-    "ratiocut": "metrics",
     "PointFrameSequence": "pointcloud",
     "downsample": "pointcloud",
     "knn_graph": "pointcloud",

@@ -28,7 +28,7 @@ from .clustering import static_sc, tv_cluster_multi
 from .experiments import DENSE_FULL, cloud_to_graphs, total_mismatch, trial_seeds
 from .generators import SbmTvParams, sbm_tv_sequence
 from .graphs import dense_laplacian
-from .metrics import eigengap_profile, pair_accuracy
+from .metrics import accuracy_report, eigengap_profile
 from .pointcloud import downsample, load_frames
 from .solver import SolverConfig
 
@@ -237,9 +237,7 @@ def cmd_evaluate(est_path, truth_path, out_path, svg):
         truth = fileio.read_labels(tf)
         if est.t_len != truth.t_len or est.n != truth.n:
             raise ValueError(f"shape mismatch between {ef.name} and {tf.name}")
-        columns.append(
-            [pair_accuracy(est.frame(t), truth.frame(t)) for t in range(est.t_len)]
-        )
+        columns.append(accuracy_report(est, truth).per_frame)
         mismatch_total += total_mismatch(est)
     acc = np.asarray(columns).T  # (t_len, trials)
     mean_col = acc.mean(axis=1)

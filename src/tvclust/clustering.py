@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,10 @@ class LabelSequence:
             arr = cast
         else:
             arr = arr.astype(np.int64)
-        if int(self.k) < 1:
+        # a bool is an int to Python, and int() would truncate a float
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "k", int(self.k))
         if arr.min() < 0 or arr.max() >= self.k:
@@ -269,17 +273,16 @@ def _best_restarts(
 def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
     """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS.
 
-    `points` is one (n, d) point set (or n values) with one `seed`, giving (n,)
-    labels, or a (frames, n, d) stack with a sequence of one seed per frame,
-    giving (frames, n) labels. Each frame gets the labels it would get on its
-    own, ties in WCSS going to the earliest restart. The restarts of many
-    frames run together in one Lloyd loop, in batches of bounded size. Each
-    squared distance is computed once: the seeding's distance rows serve
-    Lloyd's first pass, and a restart that stops on a repeated assignment takes
-    its WCSS from that last pass; only restarts that hit `max_iters` or
-    re-seeded in their last pass are measured again.
+    `points` is a (frames, n, d) stack and `seed` a sequence of one seed per
+    frame; the result is the (frames, n) labels. Each frame gets the labels it
+    would get on its own, ties in WCSS going to the earliest restart. The
+    restarts of many frames run together in one Lloyd loop, in batches of
+    bounded size. Each squared distance is computed once: the seeding's
+    distance rows serve Lloyd's first pass, and a restart that stops on a
+    repeated assignment takes its WCSS from that last pass; only restarts that
+    hit `max_iters` or re-seeded in their last pass are measured again.
 
-    A frame's restarts all draw from one ``np.random.default_rng(seed)``:
+    A frame's restarts all draw from one ``np.random.default_rng`` of its seed:
     first ``integers(n, size=restarts)``, restart r's first center; then one
     ``random(restarts)`` per later center, which picks restart r's next point
     by the inverse CDF of its squared distances to the nearest center so far,
@@ -289,18 +292,11 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     squared distances to their means.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    stacked = pts.ndim == 3
-    if stacked:
-        seeds = list(seed)
-        if len(seeds) != pts.shape[0]:
-            raise ValueError(f"expected {pts.shape[0]} seeds, one per frame, got {len(seeds)}")
-    elif pts.ndim == 2:
-        pts = pts[None]
-        seeds = [seed]
-    else:
-        raise ValueError("points must be an (n, d) array or a (frames, n, d) stack")
+    if pts.ndim != 3:
+        raise ValueError(f"points must be a (frames, n, d) stack, got shape {pts.shape}")
+    seeds = list(seed)
+    if len(seeds) != pts.shape[0]:
+        raise ValueError(f"expected {pts.shape[0]} seeds, one per frame, got {len(seeds)}")
     frames, n, d = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -321,8 +317,7 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         u = np.concatenate([g.random((k - 1, restarts)) for g in rngs[lo:hi]], axis=1)
         assigns, wcss = _lloyd(X, *_kmeans_pp(X, first, u), max_iters)
         labels[lo:hi] = _best_restarts(X, assigns, k, restarts, wcss)
-    # a copy, so that one frame's labels own their memory as a stack's do
-    return labels if stacked else labels[0].copy()
+    return labels
 
 
 def _max_assignment(table: np.ndarray) -> list[int]:

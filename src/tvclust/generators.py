@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ class SbmTvParams:
     seed: int
 
     def __post_init__(self):
+        # a bool is an int to Python, and a float would fail only inside the generator
+        for name in ("n_per_cluster", "k", "t_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_per_cluster < 1:
             raise ValueError("n_per_cluster must be >= 1")
         if self.k < 2:

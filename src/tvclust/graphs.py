@@ -150,9 +150,13 @@ def block_laplacian(seq: TVGraphSequence) -> scipy.sparse.csr_matrix:
 
     n = seq.n
     parts = [_laplacian_entries(g) for g in seq.graphs]
-    rows = np.concatenate([r + t * n for t, (r, _, _) in enumerate(parts)])
-    cols = np.concatenate([c + t * n for t, (_, c, _) in enumerate(parts)])
-    vals = np.concatenate([v for _, _, v in parts])
+    for t, (r, c, _) in enumerate(parts):
+        # each frame's entries are fresh arrays, so they are shifted in place
+        r += t * n
+        c += t * n
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    # the per-frame entries must not live on beside scipy's copies
+    del parts
     size = seq.t_len * n
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
 

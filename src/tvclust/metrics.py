@@ -1,4 +1,4 @@
-"""Evaluation: pair-counting accuracy, label changes, RatioCut, eigengap profiles."""
+"""Evaluation: pair accuracy, label changes, eigengap profiles, accuracy reports."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import LabelSequence
-from .graphs import WeightedGraph, smallest_eigenvectors
+from .graphs import smallest_eigenvectors
 
 
 def _same_pairs(counts: np.ndarray) -> int:
@@ -43,25 +43,6 @@ def label_changes(labels) -> np.ndarray:
     number of nodes whose label differs: t_len - 1 counts."""
     labels = np.asarray(labels)
     return (labels[1:] != labels[:-1]).sum(axis=1)
-
-
-def ratiocut(g: WeightedGraph, labels, k: int) -> float:
-    """Sum over clusters of (crossing edge weight) / (cluster size)."""
-    labels = np.asarray(labels)
-    if labels.shape != (g.n,):
-        raise ValueError(f"labels must have length {g.n}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("labels must lie in [0, k)")
-    sizes = np.bincount(labels, minlength=k)
-    if np.any(sizes == 0):
-        raise ValueError("every cluster must be nonempty")
-    i, j, w = g.edge_arrays()
-    cross = labels[i] != labels[j]
-    total = 0.0
-    for c in range(k):
-        touches = cross & ((labels[i] == c) | (labels[j] == c))
-        total += float(w[touches].sum()) / sizes[c]
-    return total
 
 
 def eigengap_profile(L: np.ndarray, m: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from .graphs import TVGraphSequence, block_laplacian, largest_eigenvalue
 from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
-SPHERE_FEAS_TOL = 1e-6
 DEFAULT_EPSILON_SCALE = 1e-6
 POLISH_ROUNDS = 3
 SIGMA = 1e-5  # relative change of the primal and dual iterates at which a solve settles
@@ -120,10 +119,8 @@ def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
 
 
 def _is_feasible(C: np.ndarray, V: np.ndarray, eps: float) -> bool:
-    n = C.shape[1]
-    sq = np.einsum("tn,tn->t", C, C)
-    if np.any(np.abs(sq - n) > SPHERE_FEAS_TOL * n):
-        return False
+    """Whether each frame of C is within SLAB_FEAS_TOL of its slabs |c_t . v| <= eps.
+    Every iterate is scaled onto the sphere, so that constraint needs no check."""
     dots = np.einsum("tn,tln->tl", C, V)
     return bool(np.all(np.abs(dots) <= eps + SLAB_FEAS_TOL))
 
@@ -291,8 +288,8 @@ def pds_solve(
     eigenvalue, and the slab half-width is eps = DEFAULT_EPSILON_SCALE * sqrt(n);
     only alpha and max_iters come from cfg. A run stops
     once the relative changes of the primal and dual iterates are both <=
-    SIGMA and the iterate satisfies all frame constraints within tolerance,
-    or at cfg.max_iters. The `converged` flag reports whether the former happened.
+    SIGMA and the iterate is within tolerance of its slabs (the spheres hold
+    by construction), or at cfg.max_iters; `converged` reports which happened.
     A settled run returns its final iterate. A capped run re-projects its
     best-objective iterate and its start onto the constraints, with the same
     slab kernel and the sphere scaling in turn, and returns the one of lower

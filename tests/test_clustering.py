@@ -57,20 +57,20 @@ class TestKmeans:
     def test_two_far_groups(self):
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.normal(0, 0.1, (10, 2)), rng.normal(50, 0.1, (10, 2))])
-        assign = kmeans(pts, 2, seed=1)
+        assign = kmeans(pts[None], 2, [1])[0]
         assert len(set(assign[:10])) == 1 and len(set(assign[10:])) == 1
         assert assign[0] != assign[10]
 
     def test_n_equals_k(self):
         pts = np.arange(5.0)[:, None]
-        assign = kmeans(pts, 5, seed=2)
+        assign = kmeans(pts[None], 5, [2])[0]
         assert sorted(assign.tolist()) == [0, 1, 2, 3, 4]
 
     def test_matches_exhaustive_partition_oracle(self):
         rng = np.random.default_rng(3)
         for k in (2, 3):
             pts = rng.standard_normal((6, 1))
-            got = wcss_of(pts, kmeans(pts, k, seed=4), k)
+            got = wcss_of(pts, kmeans(pts[None], k, [4])[0], k)
             best = min(
                 wcss_of(pts, np.array(a), k)
                 for a in itertools.product(range(k), repeat=6)
@@ -79,25 +79,25 @@ class TestKmeans:
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), 4, seed=0)
+            kmeans(np.zeros((1, 3, 2)), 4, [0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((30, 3))
-        a = kmeans(pts, 3, seed=6)
-        b = kmeans(pts, 3, seed=6)
+        a = kmeans(pts[None], 3, [6])[0]
+        b = kmeans(pts[None], 3, [6])[0]
         assert np.array_equal(a, b)
 
     def test_labels_own_their_memory(self):
         # callers that keep one result per frame must not keep every restart's too
         pts = np.random.default_rng(5).standard_normal((30, 3))
-        assert kmeans(pts, 3, seed=6, restarts=8).base is None
+        assert kmeans(pts[None], 3, [6], restarts=8).base is None
 
     def test_same_seed_sequence_object_repeats(self):
         pts = np.random.default_rng(7).standard_normal((30, 2))
         ss = np.random.SeedSequence(8)
-        first = kmeans(pts, 4, ss, restarts=3)
-        assert np.array_equal(kmeans(pts, 4, ss, restarts=3), first)
+        first = kmeans(pts[None], 4, [ss], restarts=3)[0]
+        assert np.array_equal(kmeans(pts[None], 4, [ss], restarts=3)[0], first)
         # and it draws what a generator seeded by a fresh copy draws
         want = kmeans_oracle(pts, 4, np.random.SeedSequence(8), restarts=3)
         assert np.array_equal(first, want)
@@ -105,30 +105,30 @@ class TestKmeans:
     def test_rejects_no_restarts_or_iterations(self):
         pts = np.arange(6.0)[:, None]
         with pytest.raises(ValueError, match="restarts"):
-            kmeans(pts, 2, seed=0, restarts=0)
+            kmeans(pts[None], 2, [0], restarts=0)
         with pytest.raises(ValueError, match="max_iters"):
-            kmeans(pts, 2, seed=0, max_iters=0)
+            kmeans(pts[None], 2, [0], max_iters=0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_points(self, bad):
         pts = np.arange(12.0).reshape(6, 2)
         pts[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            kmeans(pts, 2, seed=0)
+            kmeans(pts[None], 2, [0])
 
     def test_reseeds_like_oracle_on_identical_points(self):
         # every point ties for the first center, so Lloyd's first pass empties
         # all other clusters and each is re-seeded
         pts = np.zeros((7, 2))
         for k in (2, 3, 7):
-            got = kmeans(pts, k, seed=3, restarts=4)
+            got = kmeans(pts[None], k, [3], restarts=4)[0]
             assert np.array_equal(got, kmeans_oracle(pts, k, seed=3, restarts=4))
 
     def test_reseeding_on_identical_points_does_not_cycle(self):
         # re-seeding takes points only from clusters that keep a member, so no
         # cluster is emptied again and the labels do not depend on the cap's parity
         pts = np.zeros((7, 2))
-        got = [kmeans(pts, 3, seed=3, restarts=4, max_iters=m) for m in (50, 51, 300, 301)]
+        got = [kmeans(pts[None], 3, [3], restarts=4, max_iters=m)[0] for m in (50, 51, 300, 301)]
         for labels in got:
             assert np.array_equal(labels, got[0])
         assert np.bincount(got[0], minlength=3).min() >= 1
@@ -184,7 +184,7 @@ class TestKmeans:
             pts = rng.standard_normal((n, d)) * np.resize([1e3, 1e-3, 1.0], d)
         k = 1 + int(k_share * (n - 1))
         want = kmeans_oracle(pts, k, seed, restarts=restarts, max_iters=max_iters)
-        got = kmeans(pts, k, seed, restarts=restarts, max_iters=max_iters)
+        got = kmeans(pts[None], k, [seed], restarts=restarts, max_iters=max_iters)[0]
         assert np.array_equal(got, want)
 
     @given(
@@ -273,7 +273,7 @@ class TestKmeans:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tvclust.clustering, "_sq_dists", counting)
-        labels = kmeans(pts, k, seed=2, restarts=6)
+        labels = kmeans(pts[None], k, [2], restarts=6)[0]
         assert calls == [1] * k + [k]
         assert np.array_equal(labels, kmeans_oracle(pts, k, seed=2, restarts=6))
 
@@ -316,15 +316,20 @@ class TestKmeans:
         X = np.repeat(pts.T[:, None, :], 4, axis=1)
         C, d2 = _kmeans_pp(X, np.arange(4), np.full((2, 4), 0.5))
         assert np.isnan(_lloyd(X, C, d2, max_iters)[1]).all()
-        got = kmeans(pts, 3, seed=3, restarts=4, max_iters=max_iters)
+        got = kmeans(pts[None], 3, [3], restarts=4, max_iters=max_iters)[0]
         assert np.array_equal(got, kmeans_oracle(pts, 3, seed=3, restarts=4, max_iters=max_iters))
 
     def test_overflowing_wcss_keeps_the_first_restart(self):
         # every restart scores inf, so none is below the first; labels still come back
         pts = np.array([[1e200], [-1e200], [1e200]])
         with np.errstate(over="ignore"):
-            got = kmeans(pts, 1, seed=0, restarts=3)
+            got = kmeans(pts[None], 1, [0], restarts=3)[0]
         assert got.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5,)])
+    def test_rejects_a_single_point_set(self, shape):
+        with pytest.raises(ValueError, match="frames, n, d"):
+            kmeans(np.zeros(shape), 2, [0])
 
     def test_stack_needs_one_seed_per_frame(self):
         with pytest.raises(ValueError, match="one per frame"):
@@ -456,7 +461,7 @@ class TestStaticSc:
         seq, _ = sbm_tv_sequence(SbmTvParams(5, k, 4, 0.7, 0.2, 0.1, seed=20 + k))
         seeds = np.random.SeedSequence(17, spawn_key=_STATIC_TAG).spawn(seq.t_len)
         want = [
-            kmeans(smallest_eigenvectors(dense_laplacian(g), k)[1], k, s)
+            kmeans(smallest_eigenvectors(dense_laplacian(g), k)[1][None], k, [s])[0]
             for g, s in zip(seq.graphs, seeds)
         ]
         assert np.array_equal(static_sc(seq, k, seed=17).labels, np.array(want))
@@ -595,6 +600,15 @@ class TestContainers:
             LabelSequence(np.array([[0, 1], [2, 1]]), k=2)
         with pytest.raises(ValueError):
             LabelSequence(np.array([[0.5, 1.0]]), k=2)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, True, np.bool_(True), "2"])
+    def test_label_sequence_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            LabelSequence(np.array([[0, 1]]), k)
+
+    def test_label_sequence_accepts_numpy_integer_k(self):
+        ls = LabelSequence(np.array([[0, 1]]), np.int32(2))
+        assert ls.k == 2 and type(ls.k) is int
 
     def test_align_sequence_preserves_partitions(self):
         rng = np.random.default_rng(20)

@@ -40,10 +40,26 @@ class TestLazyNamespace:
         assert res.stdout.strip() == "[]"
 
     def test_every_export_is_its_defining_modules_object(self):
-        assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 34
+        assert len(tvclust.__all__) == len(set(tvclust.__all__)) == 33
         for name in tvclust.__all__:
             module = importlib.import_module(f"tvclust.{tvclust._EXPORTS[name]}")
             assert getattr(tvclust, name) is getattr(module, name), name
+
+    def test_readme_layout_names_every_export(self):
+        """Each exported name appears in the README's "Library layout" row of
+        the module that defines it."""
+        text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        layout = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in layout.splitlines():
+            cells = line.split("|")
+            if len(cells) > 2 and cells[1].strip().startswith("`tvclust."):
+                rows[cells[1].strip().strip("`")] = cells[2]
+        missing = [
+            name for name in tvclust.__all__
+            if f"`{name}`" not in rows.get(f"tvclust.{tvclust._EXPORTS[name]}", "")
+        ]
+        assert missing == []
 
     def test_dir_lists_exports_and_dunders(self):
         names = dir(tvclust)

@@ -11,7 +11,6 @@ from tvclust.metrics import (
     eigengap_profile,
     label_changes,
     pair_accuracy,
-    ratiocut,
 )
 
 
@@ -93,43 +92,6 @@ class TestMismatchCount:
         direct = label_changes(np.stack([a, c]))[0]
         via_b = label_changes(np.stack([a, b, c])).sum()
         assert direct <= via_b
-
-
-class TestRatioCut:
-    def test_components_have_zero_cut(self):
-        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        labels = np.array([0, 0, 1, 1])
-        assert ratiocut(g, labels, 2) == 0.0
-
-    def test_bridged_cliques(self):
-        edges = [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]
-        g = WeightedGraph(4, edges)
-        labels = np.array([0, 0, 1, 1])
-        assert ratiocut(g, labels, 2) == pytest.approx(1.0)
-
-    def test_single_cluster_zero(self):
-        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        assert ratiocut(g, np.zeros(3, dtype=int), 1) == 0.0
-
-    def test_empty_cluster_rejected(self):
-        g = WeightedGraph(3, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="nonempty"):
-            ratiocut(g, np.array([0, 0, 0]), 2)
-
-    def test_fiedler_partition_beats_random_balanced(self):
-        from tvclust.generators import sbm_static
-        from tvclust.graphs import smallest_eigenvectors
-
-        rng = np.random.default_rng(2)
-        planted = np.repeat([0, 1], 20)
-        g = sbm_static(planted, 0.9, 0.05, rng)
-        _, vecs = smallest_eigenvectors(dense_laplacian(g), 2)
-        fied = (vecs[:, 1] < 0).astype(int)
-        rc_fied = ratiocut(g, fied, 2)
-        base = np.repeat([0, 1], 20)
-        for _ in range(100):
-            rng.shuffle(base)
-            assert rc_fied <= ratiocut(g, base, 2)
 
 
 class TestEigengapProfile:

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tvclust.graphs import (
     smallest_eigenvectors,
 )
 from tvclust.clustering import _warm_start, tv_cluster_multi
+from tvclust.prox import prox_sphere_frames
 from tvclust.solver import (
     SIGMA,
     BlockLaplacian,
@@ -347,6 +349,44 @@ class TestPdsSolve:
         res = pds_solve(BlockLaplacian(seq), V, SolverConfig(alpha=alpha, max_iters=max_iters), init)
         start = res.objective_trace[0]
         assert res.objective <= start + 1e-9 * max(1.0, abs(start))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t_len=st.integers(1, 4),
+        n=st.integers(4, 30),
+        alpha=st.sampled_from([0.0, 0.5, 3.0]),
+        warm=st.booleans(),
+        max_iters=st.sampled_from([1, 2, 40, 400]),
+    )
+    @example(seed=0, t_len=3, n=20, alpha=0.0, warm=True, max_iters=400)  # settles
+    @example(seed=0, t_len=3, n=20, alpha=3.0, warm=False, max_iters=40)  # capped
+    @settings(max_examples=40, deadline=None)
+    def test_every_iterate_lies_on_the_sphere(self, seed, t_len, n, alpha, warm, max_iters):
+        """Every iterate the solve visits, every re-projected candidate and the
+        returned c have squared frame norms within 1e-12 * n of n: the primal step
+        scales each frame onto the sphere, so no solve needs to check it."""
+        rng = np.random.default_rng(seed)
+        labels = np.repeat([0, 1], [n // 2, n - n // 2])
+        seq = TVGraphSequence(tuple(sbm_static(labels, 0.9, 0.1, rng) for _ in range(t_len)))
+        V = np.ones((t_len, 1, n))
+        if warm:
+            _, vecs = smallest_eigenvectors(sum(map(dense_laplacian, seq.graphs)) / t_len, 2)
+            init = _warm_start(vecs[:, 1], V, rng)
+        else:
+            init = prox_sphere_frames(rng.standard_normal((t_len, n)))
+        seen = []
+        real = tvclust.solver._objective
+
+        def recording(C, *args):
+            seen.append(np.abs(np.einsum("tn,tn->t", C, C) - n).max())
+            return real(C, *args)
+
+        cfg = SolverConfig(alpha=alpha, max_iters=max_iters)
+        with mock.patch.object(tvclust.solver, "_objective", recording):
+            res = pds_solve(BlockLaplacian(seq), V, cfg, init)
+        assert len(seen) >= res.iters + 1
+        assert max(seen) <= 1e-12 * n
+        assert np.abs(np.einsum("tn,tn->t", res.c, res.c) - n).max() <= 1e-12 * n
 
     def test_objective_trace_finite_and_improving(self):
         g, _ = two_block_graph(seed=12)

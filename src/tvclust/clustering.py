@@ -81,18 +81,9 @@ class EmbeddingSequence:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
-    @property
-    def t_len(self) -> int:
-        return self.vectors.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[2]
-
+KMEANS_RESTARTS = 50  # k-means runs per frame, of which the least WCSS wins
+KMEANS_MAX_ITERS = 300  # Lloyd passes at most per run
 
 # Each work array of one k-means batch holds about this many float64 values at
 # most (runs x n x max(k, d)): larger batches cost memory and gain little time.
@@ -257,21 +248,20 @@ def _wcss(X: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
 
 
 def _best_restarts(
-    X: np.ndarray, assigns: np.ndarray, k: int, restarts: int, wcss: np.ndarray | None = None
+    X: np.ndarray, assigns: np.ndarray, k: int, restarts: int, wcss: np.ndarray
 ) -> np.ndarray:
     """Each frame's assignment of least WCSS among its `restarts` consecutive
     runs, ties to the earliest. `wcss` holds the runs' WCSS as `_lloyd` gives
-    it; its NaN entries, or all of them when it is None, are computed here."""
+    it; its NaN entries are computed here."""
     runs = assigns.shape[0]
-    wcss = np.full(runs, np.nan) if wcss is None else wcss
     redo = np.flatnonzero(np.isnan(wcss))
     if redo.size:
         wcss[redo] = _wcss(X[:, redo], assigns[redo], k)
     return assigns[np.arange(0, runs, restarts) + wcss.reshape(-1, restarts).argmin(axis=1)]
 
 
-def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np.ndarray:
-    """Lloyd's iterations from k-means++ seeding; best of `restarts` runs by WCSS.
+def kmeans(points, k: int, seed) -> np.ndarray:
+    """Lloyd's iterations from k-means++ seeding; best of KMEANS_RESTARTS runs by WCSS.
 
     `points` is a (frames, n, d) stack and `seed` a sequence of one seed per
     frame; the result is the (frames, n) labels. Each frame gets the labels it
@@ -280,13 +270,14 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     bounded size. Each squared distance is computed once: the seeding's
     distance rows serve Lloyd's first pass, and a restart that stops on a
     repeated assignment takes its WCSS from that last pass; only restarts that
-    hit `max_iters` or re-seeded in their last pass are measured again.
+    hit KMEANS_MAX_ITERS or re-seeded in their last pass are measured again.
 
     A frame's restarts all draw from one ``np.random.default_rng`` of its seed:
-    first ``integers(n, size=restarts)``, restart r's first center; then one
-    ``random(restarts)`` per later center, which picks restart r's next point
-    by the inverse CDF of its squared distances to the nearest center so far,
-    or, when those are all zero, point ``floor(u * n)`` of that same uniform u.
+    first ``integers(n, size=KMEANS_RESTARTS)``, restart r's first center;
+    then one ``random(KMEANS_RESTARTS)`` per later center, which picks restart
+    r's next point by the inverse CDF of its squared distances to the nearest
+    center so far, or, when those are all zero, point ``floor(u * n)`` of that
+    same uniform u.
     Coordinates are added in index order, a cluster's mean is its row-order
     sum over its count, and a restart's WCSS is the ``.sum()`` of its points'
     squared distances to their means.
@@ -300,12 +291,9 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
     frames, n, d = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
+    restarts = KMEANS_RESTARTS
     rngs = [np.random.default_rng(s) for s in seeds]
     per_batch = max(1, _KMEANS_BATCH_ELEMENTS // (restarts * n * max(k, d)))
     labels = np.empty((frames, n), dtype=np.intp)
@@ -315,7 +303,7 @@ def kmeans(points, k: int, seed, restarts: int = 50, max_iters: int = 300) -> np
         first = np.concatenate([g.integers(n, size=restarts) for g in rngs[lo:hi]])
         # k - 1 calls of random(restarts) draw what one random((k - 1, restarts)) does
         u = np.concatenate([g.random((k - 1, restarts)) for g in rngs[lo:hi]], axis=1)
-        assigns, wcss = _lloyd(X, *_kmeans_pp(X, first, u), max_iters)
+        assigns, wcss = _lloyd(X, *_kmeans_pp(X, first, u), KMEANS_MAX_ITERS)
         labels[lo:hi] = _best_restarts(X, assigns, k, restarts, wcss)
     return labels
 

@@ -30,7 +30,7 @@ class SbmTvParams:
 
     def __post_init__(self):
         # a bool is an int to Python, and a float would fail only inside the generator
-        for name in ("n_per_cluster", "k", "t_len"):
+        for name in ("n_per_cluster", "k", "t_len", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

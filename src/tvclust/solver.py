@@ -28,7 +28,8 @@ SIGMA = 1e-5  # relative change of the primal and dual iterates at which a solve
 
 
 class SolverError(RuntimeError):
-    """Raised when the iteration produces non-finite values or an all-zero frame."""
+    """Raised when the iteration produces non-finite values or an all-zero frame,
+    or when a capped run ends outside its slabs."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,11 @@ class SolverConfig:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         # a bool is an int to Python, and a float would fail only inside the solve
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        # or the seeding of its drivers
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -104,7 +108,7 @@ class BlockLaplacian:
         object.__setattr__(self, "n", seq.n)
 
 
-def default_step_sizes(beta: float, alpha: float = 0.0) -> tuple[float, float]:
+def default_step_sizes(beta: float, alpha: float) -> tuple[float, float]:
     """gamma1 = 1/(beta + 8*alpha), gamma2 = beta/10, the step sizes of every solve.
 
     The alpha term keeps the primal step times the temporal dual field (entries
@@ -296,15 +300,14 @@ def pds_solve(
     objective, the re-projected iterate when they tie, so it never ends above
     its re-projected start. The re-projection runs POLISH_ROUNDS rounds of
     slab projection and sphere scaling, which reach the slabs only when each
-    frame's directions are near-orthogonal, as tv_cluster_multi builds them.
-    With strongly correlated directions a capped run can return an iterate far
-    outside its slabs, and no error is raised: with directions ones and
-    ones + 0.3 * u (u standard normal, n = 20), |c_t . v| reaches about 2
-    against eps = 4.5e-6. `directions` is the (t_len, n_dirs, n)
-    array of nonzero constraint directions, used as given, so an all-ones
-    direction bounds the plain coordinate sum. `init` is the (t_len, n) start,
-    finite and with no all-zero frame. SolverError reports a non-finite iterate
-    or an all-zero frame before the sphere scaling, naming the iteration.
+    frame's directions are near-orthogonal, as tv_cluster_multi builds them;
+    with strongly correlated directions a capped run can end outside its slabs,
+    and then SolverError names its largest |c_t . v| and eps. `directions` is
+    the (t_len, n_dirs, n) array of nonzero constraint directions, used as
+    given, so an all-ones direction bounds the plain coordinate sum. `init` is
+    the (t_len, n) start, finite and with no all-zero frame. SolverError also
+    reports a non-finite iterate or an all-zero frame before the sphere
+    scaling, naming the iteration.
     """
     t_len, n = op.t_len, op.n
     V = np.asarray(directions, dtype=float)
@@ -329,6 +332,12 @@ def pds_solve(
     C, obj, iters, converged, trace = _iterate(
         op.matrix, V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, C0
     )
+    # a settled run is inside its slabs by its stopping test; a capped one may not be
+    if not converged and not _is_feasible(C, V, eps):
+        worst = float(np.abs(np.einsum("tn,tln->tl", C, V)).max())
+        raise SolverError(
+            f"capped run ended outside its slabs: max |c_t . v| = {worst:.3g}, eps = {eps:.3g}"
+        )
     return SolveResult(
         c=C,
         iters=iters,

@@ -25,7 +25,13 @@ from tvclust.clustering import (
     static_sc,
     tv_cluster_multi,
 )
-from tvclust.experiments import cloud_to_graphs, make_articulated_cloud
+from tvclust.experiments import (
+    DENSE_DESK,
+    SPARSE_DESK,
+    cloud_to_graphs,
+    make_articulated_cloud,
+    recommended_alpha,
+)
 from tvclust.generators import sbm_static, sbm_tv_sequence, SbmTvParams
 from tvclust.graphs import TVGraphSequence, WeightedGraph, dense_laplacian, smallest_eigenvectors
 from tvclust.metrics import pair_accuracy
@@ -41,6 +47,14 @@ def cliques(sizes, n):
                 edges.append((i, j, 1.0))
         start += s
     return WeightedGraph(n, edges)
+
+
+def patched_kmeans(points, k, seed, restarts, max_iters=tvclust.clustering.KMEANS_MAX_ITERS):
+    """kmeans with KMEANS_RESTARTS and KMEANS_MAX_ITERS set to these values."""
+    with mock.patch.multiple(
+        tvclust.clustering, KMEANS_RESTARTS=restarts, KMEANS_MAX_ITERS=max_iters
+    ):
+        return kmeans(points, k, seed)
 
 
 def wcss_of(points, assign, k):
@@ -91,23 +105,16 @@ class TestKmeans:
     def test_labels_own_their_memory(self):
         # callers that keep one result per frame must not keep every restart's too
         pts = np.random.default_rng(5).standard_normal((30, 3))
-        assert kmeans(pts[None], 3, [6], restarts=8).base is None
+        assert patched_kmeans(pts[None], 3, [6], restarts=8).base is None
 
     def test_same_seed_sequence_object_repeats(self):
         pts = np.random.default_rng(7).standard_normal((30, 2))
         ss = np.random.SeedSequence(8)
-        first = kmeans(pts[None], 4, [ss], restarts=3)[0]
-        assert np.array_equal(kmeans(pts[None], 4, [ss], restarts=3)[0], first)
+        first = patched_kmeans(pts[None], 4, [ss], restarts=3)[0]
+        assert np.array_equal(patched_kmeans(pts[None], 4, [ss], restarts=3)[0], first)
         # and it draws what a generator seeded by a fresh copy draws
         want = kmeans_oracle(pts, 4, np.random.SeedSequence(8), restarts=3)
         assert np.array_equal(first, want)
-
-    def test_rejects_no_restarts_or_iterations(self):
-        pts = np.arange(6.0)[:, None]
-        with pytest.raises(ValueError, match="restarts"):
-            kmeans(pts[None], 2, [0], restarts=0)
-        with pytest.raises(ValueError, match="max_iters"):
-            kmeans(pts[None], 2, [0], max_iters=0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_points(self, bad):
@@ -121,14 +128,16 @@ class TestKmeans:
         # all other clusters and each is re-seeded
         pts = np.zeros((7, 2))
         for k in (2, 3, 7):
-            got = kmeans(pts[None], k, [3], restarts=4)[0]
+            got = patched_kmeans(pts[None], k, [3], restarts=4)[0]
             assert np.array_equal(got, kmeans_oracle(pts, k, seed=3, restarts=4))
 
     def test_reseeding_on_identical_points_does_not_cycle(self):
         # re-seeding takes points only from clusters that keep a member, so no
         # cluster is emptied again and the labels do not depend on the cap's parity
         pts = np.zeros((7, 2))
-        got = [kmeans(pts[None], 3, [3], restarts=4, max_iters=m)[0] for m in (50, 51, 300, 301)]
+        got = [
+            patched_kmeans(pts[None], 3, [3], restarts=4, max_iters=m)[0] for m in (50, 51, 300, 301)
+        ]
         for labels in got:
             assert np.array_equal(labels, got[0])
         assert np.bincount(got[0], minlength=3).min() >= 1
@@ -184,7 +193,7 @@ class TestKmeans:
             pts = rng.standard_normal((n, d)) * np.resize([1e3, 1e-3, 1.0], d)
         k = 1 + int(k_share * (n - 1))
         want = kmeans_oracle(pts, k, seed, restarts=restarts, max_iters=max_iters)
-        got = kmeans(pts[None], k, [seed], restarts=restarts, max_iters=max_iters)[0]
+        got = patched_kmeans(pts[None], k, [seed], restarts=restarts, max_iters=max_iters)[0]
         assert np.array_equal(got, want)
 
     @given(
@@ -224,7 +233,7 @@ class TestKmeans:
         seeds = [np.random.SeedSequence(seed, spawn_key=(f,)) for f in range(frames)]
         budget = per_batch * restarts * n * max(k, d)
         with mock.patch.object(tvclust.clustering, "_KMEANS_BATCH_ELEMENTS", budget):
-            got = kmeans(stack, k, seeds, restarts=restarts, max_iters=max_iters)
+            got = patched_kmeans(stack, k, seeds, restarts=restarts, max_iters=max_iters)
         assert got.shape == (frames, n)
         for f in range(frames):
             want = kmeans_oracle(stack[f], k, seeds[f], restarts=restarts, max_iters=max_iters)
@@ -251,7 +260,7 @@ class TestKmeans:
             a = rng.integers(0, 3, 40)
             assigns = np.stack([a, a[::-1]])
             X = np.repeat(pts.T[:, None, :], 2, axis=1)
-            got = _best_restarts(X, assigns, 3, 2)[0]
+            got = _best_restarts(X, assigns, 3, 2, np.full(2, np.nan))[0]
             pick = int(wcss_oracle(pts, assigns[1]) < wcss_oracle(pts, a))
             assert np.array_equal(got, assigns[pick]), seed
             second += pick
@@ -273,7 +282,7 @@ class TestKmeans:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tvclust.clustering, "_sq_dists", counting)
-        labels = kmeans(pts[None], k, [2], restarts=6)[0]
+        labels = patched_kmeans(pts[None], k, [2], restarts=6)[0]
         assert calls == [1] * k + [k]
         assert np.array_equal(labels, kmeans_oracle(pts, k, seed=2, restarts=6))
 
@@ -303,7 +312,8 @@ class TestKmeans:
             for r in np.flatnonzero(stopped):
                 assert wcss[r] == wcss_oracle(pts, assigns[r]), seed
             assert np.array_equal(
-                _best_restarts(X, assigns, 3, 2, wcss.copy()), _best_restarts(X, assigns, 3, 2)
+                _best_restarts(X, assigns, 3, 2, wcss.copy()),
+                _best_restarts(X, assigns, 3, 2, np.full(2, np.nan)),
             )
         assert known > 20
 
@@ -316,14 +326,14 @@ class TestKmeans:
         X = np.repeat(pts.T[:, None, :], 4, axis=1)
         C, d2 = _kmeans_pp(X, np.arange(4), np.full((2, 4), 0.5))
         assert np.isnan(_lloyd(X, C, d2, max_iters)[1]).all()
-        got = kmeans(pts[None], 3, [3], restarts=4, max_iters=max_iters)[0]
+        got = patched_kmeans(pts[None], 3, [3], restarts=4, max_iters=max_iters)[0]
         assert np.array_equal(got, kmeans_oracle(pts, 3, seed=3, restarts=4, max_iters=max_iters))
 
     def test_overflowing_wcss_keeps_the_first_restart(self):
         # every restart scores inf, so none is below the first; labels still come back
         pts = np.array([[1e200], [-1e200], [1e200]])
         with np.errstate(over="ignore"):
-            got = kmeans(pts[None], 1, [0], restarts=3)[0]
+            got = patched_kmeans(pts[None], 1, [0], restarts=3)[0]
         assert got.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("shape", [(5, 2), (5,)])
@@ -513,15 +523,31 @@ class TestTvClusterMulti:
         n = seq.n
         eps = 1e-6 * np.sqrt(n)
         for t in range(seq.t_len):
-            for m in range(emb.m):
+            for m in range(emb.vectors.shape[2]):
                 col = emb.vectors[t, :, m]
                 assert float(col @ col) == pytest.approx(n, rel=1e-6)
             # later vectors are eps-orthogonal to earlier ones
-            for a in range(emb.m):
+            for a in range(emb.vectors.shape[2]):
                 for b in range(a):
                     va = emb.vectors[t, :, a]
                     vb = emb.vectors[t, :, b]
                     assert abs(float(va @ vb)) <= (eps + 1e-8) * np.linalg.norm(vb)
+
+    @pytest.mark.parametrize("params", [DENSE_DESK, SPARSE_DESK], ids=["dense", "sparse"])
+    def test_capped_levels_stay_inside_every_slab(self, params):
+        """Capped solves return a re-projected iterate; on the directions that
+        tv_cluster_multi builds, that iterate lies in every slab of its level."""
+        seq, _ = sbm_tv_sequence(params)
+        cfg = SolverConfig(alpha=recommended_alpha(params), max_iters=200, seed=params.seed)
+        _, _, results = tv_cluster_multi(seq, 3, cfg)
+        eps = tvclust.solver.DEFAULT_EPSILON_SCALE * np.sqrt(seq.n)
+        V = np.ones((seq.t_len, 1, seq.n))
+        for res in results:
+            assert not res.converged
+            dots = np.einsum("tn,tln->tl", res.c, V)
+            assert np.abs(dots).max() <= eps + tvclust.solver.SLAB_FEAS_TOL
+            unit = res.c / np.linalg.norm(res.c, axis=1, keepdims=True)
+            V = np.concatenate([V, unit[:, None, :]], axis=1)
 
     def test_disconnected_cloud_levels_settle_at_once(self, monkeypatch):
         """On kNN graphs of five far-apart blobs every frame has five components.

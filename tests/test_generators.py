@@ -16,15 +16,16 @@ class TestParams:
         with pytest.raises(ValueError):
             SbmTvParams(10, 3, 5, 0.3, 0.2, 1.5, 0)
 
-    @pytest.mark.parametrize("field", ["n_per_cluster", "k", "t_len"])
+    @pytest.mark.parametrize("field", ["n_per_cluster", "k", "t_len", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_rejects_non_integer_counts(self, field, value):
-        args = {"n_per_cluster": 10, "k": 3, "t_len": 5, **{field: value}}
+        # a float seed used to fail inside SeedSequence
+        args = {"n_per_cluster": 10, "k": 3, "t_len": 5, "seed": 0, **{field: value}}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SbmTvParams(**args, p_intra=0.3, p_inter=0.2, flip_prob=0.01, seed=0)
+            SbmTvParams(**args, p_intra=0.3, p_inter=0.2, flip_prob=0.01)
 
     def test_accepts_numpy_integer_counts(self):
-        p = SbmTvParams(np.int64(2), np.int32(2), np.int64(3), 0.9, 0.1, 0.0, seed=0)
+        p = SbmTvParams(np.int64(2), np.int32(2), np.int64(3), 0.9, 0.1, 0.0, seed=np.uint64(0))
         seq, truth = sbm_tv_sequence(p)
         assert (seq.n, seq.t_len, truth.k) == (4, 3, 2)
 

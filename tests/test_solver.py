@@ -71,6 +71,17 @@ class TestSolverConfig:
         _, _, (res,) = tv_cluster_multi(seq, 2, cfg)
         assert (res.iters, res.converged) == (5, False)
 
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, np.bool_(True), "1"])
+    def test_rejects_non_integer_seed(self, value):
+        # 2.5 used to fail inside SeedSequence, and True to run as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SolverConfig(seed=value)
+
+    def test_accepts_numpy_integer_seed(self):
+        seq, _ = sbm_tv_sequence(SbmTvParams(5, 3, 4, 0.8, 0.1, 0.05, seed=30))
+        got = tv_cluster_multi(seq, 3, SolverConfig(max_iters=5, seed=np.uint64(7)))[0]
+        assert got == tv_cluster_multi(seq, 3, SolverConfig(max_iters=5, seed=7))[0]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["alpha"])
     def test_rejects_non_finite(self, field, value):
@@ -474,6 +485,21 @@ class TestPdsSolve:
         cfg = SolverConfig(alpha=2.0, seed=0, max_iters=1)
         with pytest.raises(ValueError, match="init frames must be nonzero"):
             pds_solve(operator(g, g), np.ones((2, 1, 20)), cfg, init)
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 50])
+    def test_capped_run_outside_its_slabs_raises(self, max_iters):
+        # with strongly correlated directions the re-projection does not reach the
+        # slabs; such a run used to return its iterate with no error
+        n, t_len = 20, 3
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1], n // 2)
+        op = operator(*(sbm_static(labels, 0.5, 0.2, rng) for _ in range(t_len)))
+        ones = np.ones((t_len, n))
+        V = np.stack([ones, ones + 0.3 * rng.standard_normal((t_len, n))], axis=1)
+        init = rng.standard_normal((t_len, n))
+        cfg = SolverConfig(alpha=1.0, max_iters=max_iters)
+        with pytest.raises(SolverError, match=r"outside its slabs: max \|c_t \. v\| = .*eps"):
+            pds_solve(op, V, cfg, init)
 
     def test_objective_describes_returned_iterate(self):
         # a capped solve returns a polished iterate (here its start), not the last one visited

@@ -123,8 +123,8 @@ def cmd_generate_sbm(out_path, config_path, trials, **flags):
     trials = _pick(trials, config, "trials", 1)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    out = _outdir(out_path)
     seeds = trial_seeds(params["seed"], trials)
+    out = _outdir(out_path)
     for idx in range(trials):
         p = SbmTvParams(**{**params, "seed": seeds[idx]})
         seq, truth = sbm_tv_sequence(p)
@@ -168,8 +168,8 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
         raise ValueError("k must be >= 2")
     seed = _pick(seed, config, "seed", 0)
     inputs = _inputs(graph_path, ".tvg")
-    out = _outdir(out_path)
     seeds = trial_seeds(seed, len(inputs))
+    out = _outdir(out_path)
     for idx, path in enumerate(inputs):
         seq = fileio.read_tvg(path)
         started = time.perf_counter()

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import TVGraphSequence, dense_laplacian, smallest_eigenvectors
+from .graphs import TVGraphSequence, _require_int, dense_laplacian, smallest_eigenvectors
 from .prox import prox_slab_frames, prox_sphere_frames
 from .solver import BlockLaplacian, SolveResult, SolverConfig, pds_solve
 
@@ -37,12 +36,7 @@ class LabelSequence:
             arr = cast
         else:
             arr = arr.astype(np.int64)
-        # a bool is an int to Python, and int() would truncate a float
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _require_int("k", self.k, 1))
         if arr.min() < 0 or arr.max() >= self.k:
             raise ValueError("labels must lie in [0, k)")
         arr = arr.copy()
@@ -96,7 +90,10 @@ def _sq_dists(X: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np
 
     X holds the (d, runs, n) coordinate planes of each run's points and C the
     (d, runs, m) planes of its centers. The d squared differences are added in
-    coordinate order, one plane at a time.
+    coordinate order, one plane at a time. This is the one squared-distance
+    code of the package: k-means and its k-means++ seeding, `knn_graph` and
+    `farthest_point_indices` all take their distances from it, so this order
+    fixes their bits and with them how their distance ties break.
     """
     acc = np.subtract(X[0][:, None, :], C[0][:, :, None], out=out)
     np.square(acc, out=acc)
@@ -278,7 +275,7 @@ def kmeans(points, k: int, seed) -> np.ndarray:
     r's next point by the inverse CDF of its squared distances to the nearest
     center so far, or, when those are all zero, point ``floor(u * n)`` of that
     same uniform u.
-    Coordinates are added in index order, a cluster's mean is its row-order
+    Squared distances come from `_sq_dists`, a cluster's mean is its row-order
     sum over its count, and a restart's WCSS is the ``.sum()`` of its points'
     squared distances to their means.
     """
@@ -408,7 +405,8 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
         raise ValueError("k must be >= 2")
     if k > seq.n:
         raise ValueError("k must not exceed the node count")
-    frame_seeds = np.random.SeedSequence(entropy=seed, spawn_key=_STATIC_TAG).spawn(seq.t_len)
+    root = np.random.SeedSequence(entropy=_require_int("seed", seed, 0), spawn_key=_STATIC_TAG)
+    frame_seeds = root.spawn(seq.t_len)
     embeddings = np.stack([smallest_eigenvectors(dense_laplacian(g), k)[1] for g in seq.graphs])
     return LabelSequence(kmeans(embeddings, k, frame_seeds), k)
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .clustering import LabelSequence, align_sequence, static_sc, tv_cluster_multi
 from .generators import SbmTvParams, sbm_tv_sequence
-from .graphs import TVGraphSequence
+from .graphs import TVGraphSequence, _require_int
 from .metrics import accuracy_report, label_changes
 from .pointcloud import PointFrameSequence, knn_graph
 from .solver import SolverConfig
@@ -48,7 +48,8 @@ def total_mismatch(ls: LabelSequence) -> int:
 
 def trial_seeds(seed: int, n: int) -> list[int]:
     """n independent 64-bit per-trial seeds derived from one base seed."""
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
+    root = np.random.SeedSequence(_require_int("seed", seed, 0))
+    return [int(s) for s in root.generate_state(n, dtype=np.uint64)]
 
 
 def run_sbm_trial(params: SbmTvParams, cfg: SolverConfig) -> TrialOutcome:

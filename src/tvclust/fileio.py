@@ -30,15 +30,16 @@ def write_lines(path, lines) -> None:
 
 def write_tvg(path, seq: TVGraphSequence) -> None:
     lines = [f"{TVG_MAGIC} {FORMAT_VERSION} {seq.n} {seq.t_len}"]
+    # adding object arrays of strings builds the lines faster than one f-string
+    # per edge; node ids with their trailing space are formatted once per file
+    ids = np.array([f"{v} " for v in range(seq.n)], dtype=object)
     for t, g in enumerate(seq.graphs):
         i, j, w = g.edge_arrays()
         # weights repeat, so each distinct bit pattern (-0.0 apart from 0.0) is
         # formatted once
         bits, which = np.unique(w.view(np.int64), return_inverse=True)
-        text = [repr(x) for x in bits.view(np.float64).tolist()]
-        lines.extend(
-            f"{t} {a} {b} {text[c]}" for a, b, c in zip(i.tolist(), j.tolist(), which.tolist())
-        )
+        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        lines.extend((f"{t} " + ids[i] + ids[j] + text[which]).tolist())
     write_lines(path, lines)
 
 

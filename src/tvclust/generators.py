@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import LabelSequence
-from .graphs import TVGraphSequence, WeightedGraph
+from .graphs import TVGraphSequence, WeightedGraph, _require_int
 
 
 @dataclass(frozen=True)
@@ -29,17 +28,8 @@ class SbmTvParams:
     seed: int
 
     def __post_init__(self):
-        # a bool is an int to Python, and a float would fail only inside the generator
-        for name in ("n_per_cluster", "k", "t_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_per_cluster < 1:
-            raise ValueError("n_per_cluster must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.t_len < 1:
-            raise ValueError("t_len must be >= 1")
+        for name, low in (("n_per_cluster", 1), ("k", 2), ("t_len", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), low)
         if not 0.0 <= self.p_inter <= self.p_intra <= 1.0:
             raise ValueError("need 0 <= p_inter <= p_intra <= 1")
         if not 0.0 <= self.flip_prob <= 1.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -10,6 +11,17 @@ import numpy as np
 # scipy is imported by the functions that call it, so importing tvclust stays cheap
 if TYPE_CHECKING:
     import scipy.sparse
+
+
+def _require_int(name: str, value, low: int) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is an integer
+    >= low. A bool is an int to Python, and int() would truncate a float, so
+    both are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
 
 
 class WeightedGraph:
@@ -49,10 +61,6 @@ class WeightedGraph:
         for a in (lo, hi, w):
             a.setflags(write=False)
         self._i, self._j, self._w = lo, hi, w
-
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return list(zip(self._i.tolist(), self._j.tolist(), self._w.tolist()))
 
     @property
     def num_edges(self) -> int:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .clustering import _sq_dists
+from .graphs import WeightedGraph, _require_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +67,17 @@ def load_frames(path) -> PointFrameSequence:
 
 
 def farthest_point_indices(points: np.ndarray, target_n: int, rng) -> np.ndarray:
-    """Greedy farthest-point subset of one frame, from a seeded random start."""
+    """Greedy farthest-point subset of one frame, from a seeded random start;
+    squared distances come from `clustering._sq_dists`."""
     n = points.shape[0]
+    X = points.T[:, None, :]
     chosen = np.empty(target_n, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    dist = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    dist = _sq_dists(X, X[:, :, chosen[0] : chosen[0] + 1])[0, 0]
     for s in range(1, target_n):
         nxt = int(dist.argmax())
         chosen[s] = nxt
-        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+        dist = np.minimum(dist, _sq_dists(X, X[:, :, nxt : nxt + 1])[0, 0])
     return np.sort(chosen)
 
 
@@ -83,7 +86,7 @@ def downsample(seq: PointFrameSequence, target_n: int, seed: int) -> PointFrameS
     frame so registration is preserved."""
     if not 1 <= target_n <= seq.n_points:
         raise ValueError(f"target_n must be in [1, {seq.n_points}], got {target_n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     idx = farthest_point_indices(seq.coords[0], target_n, rng)
     return PointFrameSequence(seq.coords[:, idx, :])
 
@@ -93,13 +96,12 @@ def knn_graph(points, k: int) -> WeightedGraph:
     unweighted undirected graph; distance ties break toward the lower point index.
 
     Point i's neighbors are the first k points j != i in the order of (squared
-    distance, j), the set a stable argsort of its distance row would give. The
-    squared distances add one coordinate plane at a time, in coordinate order.
-    Each row's k-th smallest distance comes from np.partition; the points
-    strictly closer are all taken, and the points at exactly that distance fill
-    the remaining places in index order. Points must be finite, and so must
-    each point's k smallest squared distances: a ValueError names the overflow
-    otherwise.
+    distance, j), the set a stable argsort of its distance row would give; the
+    squared distances come from `clustering._sq_dists`. Each row's k-th
+    smallest distance comes from np.partition; the points strictly closer are
+    all taken, and the points at exactly that distance fill the remaining
+    places in index order. Points must be finite, and so must each point's k
+    smallest squared distances: a ValueError names the overflow otherwise.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -109,12 +111,9 @@ def knn_graph(points, k: int) -> WeightedGraph:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    d2 = np.zeros((n, n))
-    buf = np.empty((n, n))
     with np.errstate(over="ignore"):
-        for x in pts.T:
-            np.subtract(x[:, None], x[None, :], out=buf)
-            d2 += np.square(buf, out=buf)
+        planes = pts.T[:, None, :]
+        d2 = _sq_dists(planes, planes)[0]
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     if np.isinf(kth).any():

@@ -8,7 +8,6 @@ slabs |c_t . v| <= eps for every constraint direction v of that frame.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -18,7 +17,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .graphs import TVGraphSequence, block_laplacian, largest_eigenvalue
+from .graphs import TVGraphSequence, _require_int, block_laplacian, largest_eigenvalue
 from .prox import prox_slab_frames, prox_sphere_frames, slab_coefficients
 
 SLAB_FEAS_TOL = 1e-8
@@ -53,14 +52,8 @@ class SolverConfig:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        # a bool is an int to Python, and a float would fail only inside the solve
-        # or the seeding of its drivers
-        for name in ("max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), low)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from oracle_utils import objective_oracle
 from tvclust import fileio
 from tvclust.cli import _solver_config, main
+from tvclust.experiments import trial_seeds
 from tvclust.clustering import LabelSequence, tv_cluster_multi
 from tvclust.generators import SbmTvParams, sbm_tv_sequence
 from tvclust.graphs import TVGraphSequence, WeightedGraph, dense_laplacian
@@ -68,8 +69,10 @@ def test_import_and_help_leave_scipy_unloaded(code):
         (["eigengap", "--graph", "data/graph_000.tvg", "--m", "3", "--out", "gaps"], "scipy"),
         (["cluster", "--graph", "data", "--method", "tv-pds", "--k", "3", "--max-iters", "20",
           "--out", "runs"], "scipy.linalg"),
+        (["build-knn", "--cloud", "cloud", "--target-n", "8", "--k", "3", "--out", "knn"],
+         "scipy"),
     ],
-    ids=["evaluate", "cluster-static-sc", "eigengap", "cluster-tv-pds"],
+    ids=["evaluate", "cluster-static-sc", "eigengap", "cluster-tv-pds", "build-knn"],
 )
 def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
     seq, truth = small_sequence()
@@ -78,6 +81,10 @@ def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
     fileio.write_labels(tmp_path / "data" / "truth_000.lbl", truth)
     (tmp_path / "runs").mkdir()
     fileio.write_labels(tmp_path / "runs" / "labels_000.lbl", truth)
+    (tmp_path / "cloud").mkdir()
+    for t in range(2):
+        pts = np.random.default_rng(t).random((10, 3))
+        np.savetxt(tmp_path / "cloud" / f"{t:03d}.csv", pts, delimiter=",")
     probe = (
         "import runpy, sys\n"
         f"sys.argv = ['tvclust', *{args!r}]\n"
@@ -94,6 +101,12 @@ def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "LOADED []"
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_trial_seeds_reject_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        trial_seeds(seed, 3)
 
 
 def test_one_config_file_serves_both_commands(runner, tmp_path):
@@ -128,7 +141,7 @@ class TestFileFormats:
         def per_edge(seq):
             lines = [f"tvg 1 {seq.n} {seq.t_len}"]
             for t, g in enumerate(seq.graphs):
-                lines += [f"{t} {a} {b} {float(c)!r}" for a, b, c in g.edges]
+                lines += [f"{t} {a} {b} {float(c)!r}" for a, b, c in zip(*g.edge_arrays())]
             return "\n".join(lines) + "\n"
 
         weights = [1.0, 0.1, 3.0, 1e-300, 5e-324, 0.0, -0.0, 1 / 3, 1.0, 0.1, 2.5e10]
@@ -290,6 +303,14 @@ class TestGenerateSbm:
         ])
         assert res.exit_code == 1
 
+    def test_negative_seed_exit_1(self, runner, tmp_path):
+        # numpy's SeedSequence used to reject it with its own message
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["generate-sbm", "--out", str(out), "--seed", "-1"])
+        assert res.exit_code == 1, res.output
+        assert "Error: seed must be >= 0" in res.output
+        assert not out.exists()
+
     def test_trials_write_multiple(self, runner, tmp_path):
         out = tmp_path / "multi"
         res = runner.invoke(main, [
@@ -410,6 +431,19 @@ class TestCluster:
         ])
         assert res.exit_code == 1, res.output
         assert f"{named} only apply to --method tv-pds" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["static-sc", "tv-pds"])
+    def test_negative_seed_exit_1(self, runner, tmp_path, method):
+        seq, _ = small_sequence()
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", method,
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert "Error: seed must be >= 0" in res.output
         assert not out.exists()
 
     def test_static_sc_accepts_solver_config_keys(self, runner, tmp_path):
@@ -725,6 +759,18 @@ class TestBuildKnn:
                 for row in pts:
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
+    def test_negative_seed_exit_1(self, runner, tmp_path):
+        cloud = tmp_path / "cloud"
+        self.write_cloud(cloud)
+        out = tmp_path / "out"
+        res = runner.invoke(main, [
+            "build-knn", "--cloud", str(cloud), "--target-n", "6", "--seed", "-1",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert "Error: seed must be >= 0" in res.output
+        assert not out.exists()
+
     def test_round_trip(self, runner, tmp_path):
         cloud = tmp_path / "cloud"
         self.write_cloud(cloud)
@@ -736,7 +782,7 @@ class TestBuildKnn:
         seq = fileio.read_tvg(out / "graph.tvg")
         assert seq.t_len == 3 and seq.n == 12
         degrees = np.zeros(12, int)
-        for i, j, _ in seq.graphs[0].edges:
+        for i, j, _ in zip(*seq.graphs[0].edge_arrays()):
             degrees[i] += 1
             degrees[j] += 1
         assert degrees.min() >= 3

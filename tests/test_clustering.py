@@ -248,6 +248,24 @@ class TestKmeans:
             for j in range(d):
                 want += (X[j][:, None, :] - C[j][:, :, None]) ** 2
             assert _sq_dists(X, C).tobytes() == want.tobytes(), d
+        # knn_graph's (d, 1, n) self-distance planes, one pair overflowing to inf,
+        # and farthest_point_indices' single-centre rows
+        for d in (1, 2, 3):
+            pts = rng.standard_normal((9, d)) * 10.0 ** rng.integers(-3, 4, (9, d))
+            pts[4, 0] = 1e200
+            planes = pts.T[:, None, :]
+            want = np.zeros((9, 9))
+            with np.errstate(over="ignore"):
+                for x in pts.T:
+                    want += (x[:, None] - x[None, :]) ** 2
+                got = _sq_dists(planes, planes)
+            assert np.isinf(want).any() and got.shape == (1, 9, 9)
+            assert got[0].tobytes() == want.tobytes(), d
+            for i in range(9):
+                with np.errstate(over="ignore"):
+                    row = ((pts - pts[i]) ** 2).sum(axis=1)
+                    got = _sq_dists(planes, planes[:, :, i : i + 1])
+                assert got[0, 0].tobytes() == row.tobytes(), (d, i)
 
     def test_wcss_near_ties_follow_the_point_order(self):
         """Mirrored partitions of a mirror-symmetric point set tie in exact
@@ -423,6 +441,12 @@ class TestStaticSc:
         est = static_sc(TVGraphSequence((g,)), 2, seed=9)
         truth = np.repeat([0, 1], 4)
         assert pair_accuracy(est.frame(0), truth) == 1.0
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_seed_that_is_no_count(self, seed):
+        # SeedSequence used to reject -1 and 2.5 with its own messages, and take True as 1
+        with pytest.raises(ValueError, match="seed must be"):
+            static_sc(TVGraphSequence((cliques([4, 4], 8),)), 2, seed=seed)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_three_cliques_and_an_isolated_node(self, monkeypatch, k):

@@ -24,6 +24,12 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SbmTvParams(**args, p_intra=0.3, p_inter=0.2, flip_prob=0.01)
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-1)])
+    def test_rejects_negative_seed(self, value):
+        # -1 used to fail inside SeedSequence
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SbmTvParams(10, 3, 5, 0.3, 0.2, 0.01, seed=value)
+
     def test_accepts_numpy_integer_counts(self):
         p = SbmTvParams(np.int64(2), np.int32(2), np.int64(3), 0.9, 0.1, 0.0, seed=np.uint64(0))
         seq, truth = sbm_tv_sequence(p)
@@ -40,7 +46,7 @@ class TestSbmStatic:
         g = sbm_static(labels, 1.0, 0.0, rng)
         # disjoint union of two complete graphs on 5 nodes
         assert g.num_edges == 2 * 10
-        for i, j, w in g.edges:
+        for i, j, w in zip(*g.edge_arrays()):
             assert labels[i] == labels[j] and w == 1.0
 
     def test_degenerate_empty(self):

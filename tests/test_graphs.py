@@ -43,7 +43,7 @@ def draw_graph(data, n):
 def quad_double_sum(g, f):
     """Brute-force half-sum of w_ij (f_i - f_j)^2 over both orderings."""
     total = 0.0
-    for i, j, w in g.edges:
+    for i, j, w in zip(*g.edge_arrays()):
         total += 0.5 * w * (f[i] - f[j]) ** 2
         total += 0.5 * w * (f[j] - f[i]) ** 2
     return total
@@ -68,7 +68,7 @@ class TestWeightedGraph:
 
     def test_canonical_order(self):
         g = WeightedGraph(4, [(2, 1, 0.5), (3, 0, 1.5)])
-        assert g.edges == [(0, 3, 1.5), (1, 2, 0.5)]
+        assert list(zip(*g.edge_arrays())) == [(0, 3, 1.5), (1, 2, 0.5)]
 
     def test_equality(self):
         a = WeightedGraph(3, [(1, 0, 1.0)])

@@ -75,12 +75,18 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(seq, 4, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
+    def test_rejects_seed_that_is_no_count(self, seed):
+        seq = PointFrameSequence(np.zeros((1, 3, 3)))
+        with pytest.raises(ValueError, match="seed must be"):
+            downsample(seq, 2, seed=seed)
+
 
 class TestKnnGraph:
     def test_three_collinear_points(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         g = knn_graph(pts, 1)
-        assert g.edges == [(0, 1, 1.0), (1, 2, 1.0)]
+        assert list(zip(*g.edge_arrays())) == [(0, 1, 1.0), (1, 2, 1.0)]
 
     def test_min_degree_after_or_symmetrization(self):
         rng = np.random.default_rng(6)
@@ -88,7 +94,7 @@ class TestKnnGraph:
         k = 5
         g = knn_graph(pts, k)
         degrees = np.zeros(40, dtype=int)
-        for i, j, _ in g.edges:
+        for i, j, _ in zip(*g.edge_arrays()):
             degrees[i] += 1
             degrees[j] += 1
         assert degrees.min() >= k
@@ -106,14 +112,14 @@ class TestKnnGraph:
     def test_symmetric_no_self_loops_unit_weights(self):
         rng = np.random.default_rng(8)
         g = knn_graph(rng.random((20, 3)), 4)
-        for i, j, w in g.edges:
+        for i, j, w in zip(*g.edge_arrays()):
             assert i < j and w == 1.0
 
     def test_tie_breaks_toward_lower_index(self):
         # point 0 is equidistant from 1 and 2; the lower index must win
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [5.0, 0, 0]])
         g = knn_graph(pts, 1)
-        assert (0, 1, 1.0) in g.edges
+        assert (0, 1, 1.0) in zip(*g.edge_arrays())
 
     def test_non_finite_points_rejected(self):
         pts = np.zeros((4, 3))
@@ -148,7 +154,7 @@ class TestKnnGraphMatchesOracle:
     )
     def test_tie_heavy_clouds_every_k(self, pts):
         for k in range(1, len(pts)):
-            edges = [(i, j) for i, j, _ in knn_graph(pts, k).edges]
+            edges = [(i, j) for i, j, _ in zip(*knn_graph(pts, k).edge_arrays())]
             assert edges == knn_edges_oracle(pts, k), f"k={k}"
 
     @pytest.mark.parametrize("seed", range(4))
@@ -157,5 +163,5 @@ class TestKnnGraphMatchesOracle:
         n = int(rng.integers(5, 40))
         pts = rng.normal(size=(n, int(rng.integers(1, 4))))
         for k in sorted({1, 2, n // 2, n - 1}):
-            edges = [(i, j) for i, j, _ in knn_graph(pts, k).edges]
+            edges = [(i, j) for i, j, _ in zip(*knn_graph(pts, k).edge_arrays())]
             assert edges == knn_edges_oracle(pts, k), f"k={k}"

@@ -77,6 +77,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             SolverConfig(seed=value)
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-1)])
+    def test_rejects_negative_seed(self, value):
+        # -1 used to fail inside SeedSequence
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SolverConfig(seed=value)
+
     def test_accepts_numpy_integer_seed(self):
         seq, _ = sbm_tv_sequence(SbmTvParams(5, 3, 4, 0.8, 0.1, 0.05, seed=30))
         got = tv_cluster_multi(seq, 3, SolverConfig(max_iters=5, seed=np.uint64(7)))[0]

@@ -121,8 +121,6 @@ def cmd_generate_sbm(out_path, config_path, trials, **flags):
     config = _load_config(config_path)
     params = {k: _pick(flags.get(k), config, k, v) for k, v in _SBM_DEFAULTS.items()}
     trials = _pick(trials, config, "trials", 1)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     seeds = trial_seeds(params["seed"], trials)
     out = _outdir(out_path)
     for idx in range(trials):
@@ -269,8 +267,6 @@ def cmd_build_knn(cloud_path, k, target_n, seed, out_path):
     seq = load_frames(cloud_path)
     if target_n is not None:
         seq = downsample(seq, target_n, seed)
-    if k >= seq.n_points:
-        raise ValueError(f"k={k} must be smaller than the point count {seq.n_points}")
     graphs = cloud_to_graphs(seq, k)
     out = _outdir(out_path)
     fileio.write_tvg(out / "graph.tvg", graphs)
@@ -286,16 +282,11 @@ def cmd_build_knn(cloud_path, k, target_n, seed, out_path):
 def cmd_eigengap(graph_path, m, out_path):
     """Write per-frame gaps between consecutive smallest Laplacian eigenvalues."""
     seq = fileio.read_tvg(graph_path)
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if m > seq.n:
-        raise ValueError(f"m={m} exceeds the node count {seq.n}")
-    out = _outdir(out_path)
     rows = ["t," + ",".join(f"gap_{i}" for i in range(1, m))]
     for t, g in enumerate(seq.graphs):
         gaps = eigengap_profile(dense_laplacian(g), m)
         rows.append(f"{t}," + ",".join(repr(float(x)) for x in gaps))
-    fileio.write_lines(out / "eigengap.csv", rows)
+    fileio.write_lines(_outdir(out_path) / "eigengap.csv", rows)
     click.echo(f"wrote eigengap.csv: T={seq.t_len} gaps={m - 1}")
 
 

@@ -261,13 +261,14 @@ def kmeans(points, k: int, seed) -> np.ndarray:
     """Lloyd's iterations from k-means++ seeding; best of KMEANS_RESTARTS runs by WCSS.
 
     `points` is a (frames, n, d) stack and `seed` a sequence of one seed per
-    frame; the result is the (frames, n) labels. Each frame gets the labels it
-    would get on its own, ties in WCSS going to the earliest restart. The
-    restarts of many frames run together in one Lloyd loop, in batches of
-    bounded size. Each squared distance is computed once: the seeding's
-    distance rows serve Lloyd's first pass, and a restart that stops on a
-    repeated assignment takes its WCSS from that last pass; only restarts that
-    hit KMEANS_MAX_ITERS or re-seeded in their last pass are measured again.
+    frame, each a ``SeedSequence`` or an integer >= 0; the result is the
+    (frames, n) labels. Each frame gets the labels it would get on its own,
+    ties in WCSS going to the earliest restart. The restarts of many frames
+    run together in one Lloyd loop, in batches of bounded size. Each squared
+    distance is computed once: the seeding's distance rows serve Lloyd's first
+    pass, and a restart that stops on a repeated assignment takes its WCSS from
+    that last pass; only restarts that hit KMEANS_MAX_ITERS or re-seeded in
+    their last pass are measured again.
 
     A frame's restarts all draw from one ``np.random.default_rng`` of its seed:
     first ``integers(n, size=KMEANS_RESTARTS)``, restart r's first center;
@@ -282,12 +283,13 @@ def kmeans(points, k: int, seed) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
         raise ValueError(f"points must be a (frames, n, d) stack, got shape {pts.shape}")
-    seeds = list(seed)
+    seeds = [
+        s if isinstance(s, np.random.SeedSequence) else _require_int("seed", s, 0) for s in seed
+    ]
     if len(seeds) != pts.shape[0]:
         raise ValueError(f"expected {pts.shape[0]} seeds, one per frame, got {len(seeds)}")
     frames, n, d = pts.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    k = _require_int("k", k, 1, n)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     restarts = KMEANS_RESTARTS
@@ -374,6 +376,7 @@ def align_labels(prev, cur, k: int) -> np.ndarray:
     cur = np.asarray(cur)
     if prev.shape != cur.shape or prev.ndim != 1:
         raise ValueError("prev and cur must be 1-D label arrays of equal length")
+    k = _require_int("k", k, 1)
     if prev.min() < 0 or prev.max() >= k or cur.min() < 0 or cur.max() >= k:
         raise ValueError("labels must lie in [0, k)")
     overlap = np.bincount(cur * k + prev, minlength=k * k).reshape(k, k)
@@ -401,10 +404,7 @@ def static_sc(seq: TVGraphSequence, k: int, seed: int) -> LabelSequence:
     (README, "Performance notes"). One batched eigh over all frames is no
     faster and holds every frame's eigenbasis at once.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > seq.n:
-        raise ValueError("k must not exceed the node count")
+    k = _require_int("k", k, 2, seq.n)
     root = np.random.SeedSequence(entropy=_require_int("seed", seed, 0), spawn_key=_STATIC_TAG)
     frame_seeds = root.spawn(seq.t_len)
     embeddings = np.stack([smallest_eigenvectors(dense_laplacian(g), k)[1] for g in seq.graphs])
@@ -454,10 +454,7 @@ def tv_cluster_multi(
     larger k they come from per-frame k-means on the cluster vectors, aligned
     frame to frame.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > seq.n:
-        raise ValueError("k must not exceed the node count")
+    k = _require_int("k", k, 2, seq.n)
     warm_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=_WARM_TAG)
     )

@@ -49,7 +49,7 @@ def total_mismatch(ls: LabelSequence) -> int:
 def trial_seeds(seed: int, n: int) -> list[int]:
     """n independent 64-bit per-trial seeds derived from one base seed."""
     root = np.random.SeedSequence(_require_int("seed", seed, 0))
-    return [int(s) for s in root.generate_state(n, dtype=np.uint64)]
+    return [int(s) for s in root.generate_state(_require_int("trials", n, 1), dtype=np.uint64)]
 
 
 def run_sbm_trial(params: SbmTvParams, cfg: SolverConfig) -> TrialOutcome:
@@ -74,8 +74,6 @@ def compare_methods(
     cfg: SolverConfig | None = None,
 ) -> list[TrialOutcome]:
     """Run seeded trials of the coupled method against the per-frame baseline."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     if cfg is None:
         cfg = SolverConfig(alpha=recommended_alpha(params))
     return [

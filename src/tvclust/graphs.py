@@ -13,12 +13,14 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 
-def _require_int(name: str, value, low: int) -> int:
+def _require_int(name: str, value, low: int, high: int | None = None) -> int:
     """`value` as an int; a ValueError naming `name` unless it is an integer
-    >= low. A bool is an int to Python, and int() would truncate a float, so
-    both are refused."""
+    in [low, high], or >= low without a high. A bool is an int to Python, and
+    int() would truncate a float, so both are refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
     return int(value)
@@ -34,9 +36,7 @@ class WeightedGraph:
     __slots__ = ("n", "_i", "_j", "_w")
 
     def __init__(self, n: int, edges=()):
-        if int(n) < 1:
-            raise ValueError("node count must be >= 1")
-        self.n = int(n)
+        self.n = _require_int("n", n, 1)
         arr = np.asarray(edges, dtype=float)
         if arr.size == 0:
             arr = np.empty((0, 3))
@@ -194,9 +194,7 @@ def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray
             f"L must be a 2-D square numpy.ndarray, got {type(L).__name__}"
             f" of shape {getattr(L, 'shape', None)}"
         )
-    n = L.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in [1, {n}], got {m}")
+    m = _require_int("m", m, 1, L.shape[0])
     vals, vecs = np.linalg.eigh(L)
     return vals[:m].copy(), vecs[:, :m].copy()
 

@@ -84,8 +84,7 @@ def farthest_point_indices(points: np.ndarray, target_n: int, rng) -> np.ndarray
 def downsample(seq: PointFrameSequence, target_n: int, seed: int) -> PointFrameSequence:
     """Farthest-point sampling on frame 0; the same index subset is kept in every
     frame so registration is preserved."""
-    if not 1 <= target_n <= seq.n_points:
-        raise ValueError(f"target_n must be in [1, {seq.n_points}], got {target_n}")
+    target_n = _require_int("target_n", target_n, 1, seq.n_points)
     rng = np.random.default_rng(_require_int("seed", seed, 0))
     idx = farthest_point_indices(seq.coords[0], target_n, rng)
     return PointFrameSequence(seq.coords[:, idx, :])
@@ -107,8 +106,7 @@ def knn_graph(points, k: int) -> WeightedGraph:
     if pts.ndim != 2:
         raise ValueError("points must be an (n, d) array")
     n = pts.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    k = _require_int("k", k, 1, n - 1)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     with np.errstate(over="ignore"):

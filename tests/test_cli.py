@@ -107,6 +107,9 @@ def test_commands_leave_scipy_parts_unloaded(tmp_path, args, forbidden):
 def test_trial_seeds_reject_negative_seed(seed):
     with pytest.raises(ValueError, match="seed must be >= 0"):
         trial_seeds(seed, 3)
+    # no trials used to give no seeds
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        trial_seeds(1, 0)
 
 
 def test_one_config_file_serves_both_commands(runner, tmp_path):
@@ -309,6 +312,13 @@ class TestGenerateSbm:
         res = runner.invoke(main, ["generate-sbm", "--out", str(out), "--seed", "-1"])
         assert res.exit_code == 1, res.output
         assert "Error: seed must be >= 0" in res.output
+        assert not out.exists()
+
+    def test_zero_trials_exit_1(self, runner, tmp_path):
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["generate-sbm", "--out", str(out), "--trials", "0"])
+        assert res.exit_code == 1, res.output
+        assert "Error: trials must be >= 1" in res.output
         assert not out.exists()
 
     def test_trials_write_multiple(self, runner, tmp_path):
@@ -806,7 +816,7 @@ class TestBuildKnn:
             "build-knn", "--cloud", str(cloud), "--k", "5", "--out", str(out),
         ])
         assert res.exit_code == 1
-        assert not (out / "graph.tvg").exists()
+        assert not out.exists()
 
 
 class TestEigengap:
@@ -826,8 +836,10 @@ class TestEigengap:
     def test_m_exceeds_n_exit_1(self, runner, tmp_path):
         seq, _ = small_sequence(seed=8)
         fileio.write_tvg(tmp_path / "g.tvg", seq)
-        res = runner.invoke(main, [
-            "eigengap", "--graph", str(tmp_path / "g.tvg"), "--m", "99",
-            "--out", str(tmp_path / "eig"),
-        ])
-        assert res.exit_code == 1
+        for m in ("99", "1"):
+            res = runner.invoke(main, [
+                "eigengap", "--graph", str(tmp_path / "g.tvg"), "--m", m,
+                "--out", str(tmp_path / "eig"),
+            ])
+            assert res.exit_code == 1
+            assert not (tmp_path / "eig").exists()

@@ -92,8 +92,11 @@ class TestKmeans:
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 3\], got 4"):
             kmeans(np.zeros((1, 3, 2)), 4, [0])
+        # 2.0 used to reach numpy, which raised a TypeError naming no argument
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans(np.zeros((1, 3, 2)), 2.0, [0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -362,6 +365,11 @@ class TestKmeans:
     def test_stack_needs_one_seed_per_frame(self):
         with pytest.raises(ValueError, match="one per frame"):
             kmeans(np.zeros((3, 5, 2)), 2, seed=[1, 2])
+        # numpy's default_rng used to reject -1 with a message naming no argument
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            kmeans(np.zeros((1, 4, 2)), 2, [-1])
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            kmeans(np.zeros((2, 4, 2)), 2, [np.random.SeedSequence(1), 2.0])
         with pytest.raises(ValueError, match="frames, n, d"):
             kmeans(np.zeros((2, 3, 5, 2)), 2, seed=[1, 2])
 
@@ -596,14 +604,17 @@ class TestTvClusterMulti:
 
     def test_k_bounds(self, monkeypatch):
         def no_solve(*args):
-            raise AssertionError("pds_solve ran for an invalid k")
+            raise AssertionError("a solve ran for an invalid k")
 
         monkeypatch.setattr(tvclust.clustering, "pds_solve", no_solve)
+        monkeypatch.setattr(tvclust.clustering, "smallest_eigenvectors", no_solve)
         g = cliques([2, 2], 4)
         seq = TVGraphSequence((g,))
-        for k in (1, 5, 6):
+        for k in (1, 5, 6, 2.0, True):
             with pytest.raises(ValueError, match="k must"):
                 tv_cluster_multi(seq, k, SolverConfig(seed=0))
+            with pytest.raises(ValueError, match="k must"):
+                static_sc(seq, k, seed=0)
 
 
 def test_operator_built_once_per_sequence(monkeypatch):
@@ -655,6 +666,8 @@ class TestContainers:
     def test_label_sequence_rejects_non_integer_k(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
             LabelSequence(np.array([[0, 1]]), k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            align_labels(np.array([0, 1]), np.array([1, 0]), k)
 
     def test_label_sequence_accepts_numpy_integer_k(self):
         ls = LabelSequence(np.array([[0, 1]]), np.int32(2))

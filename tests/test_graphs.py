@@ -70,6 +70,12 @@ class TestWeightedGraph:
         g = WeightedGraph(4, [(2, 1, 0.5), (3, 0, 1.5)])
         assert list(zip(*g.edge_arrays())) == [(0, 3, 1.5), (1, 2, 0.5)]
 
+    @pytest.mark.parametrize("n", [2.7, True])
+    def test_rejects_node_count_that_is_no_integer(self, n):
+        # int(n) used to make these 2 and 1 nodes
+        with pytest.raises(ValueError, match="n must be an integer"):
+            WeightedGraph(n)
+
     def test_equality(self):
         a = WeightedGraph(3, [(1, 0, 1.0)])
         b = WeightedGraph(3, [(0, 1, 1.0)])
@@ -337,10 +343,12 @@ class TestSmallestEigenvectors:
 
     def test_m_out_of_range(self):
         L = dense_laplacian(WeightedGraph(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m must be in \[1, 3\], got 4"):
             smallest_eigenvectors(L, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m must be in \[1, 3\], got 0"):
             smallest_eigenvectors(L, 0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            smallest_eigenvectors(L, 2.0)
 
     @pytest.mark.parametrize(
         "L",

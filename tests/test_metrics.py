@@ -113,6 +113,9 @@ class TestEigengapProfile:
         gaps = eigengap_profile(dense_laplacian(g), 2)
         assert gaps.shape == (1,)
         assert gaps[0] == pytest.approx(1.0, abs=1e-10)
+        # m = 1 used to give an empty profile
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            eigengap_profile(dense_laplacian(g), 1)
 
 
 class TestAccuracyReport:

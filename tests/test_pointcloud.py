@@ -72,8 +72,10 @@ class TestDownsample:
 
     def test_target_out_of_range(self):
         seq = PointFrameSequence(np.zeros((1, 3, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"target_n must be in \[1, 3\], got 4"):
             downsample(seq, 4, seed=0)
+        with pytest.raises(ValueError, match="target_n must be an integer"):
+            downsample(seq, 2.0, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.0, True])
     def test_rejects_seed_that_is_no_count(self, seed):
@@ -106,8 +108,10 @@ class TestKnnGraph:
         assert g.num_edges == 15
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\], got 3"):
             knn_graph(np.zeros((3, 3)), 3)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_graph(np.zeros((3, 3)), 2.0)
 
     def test_symmetric_no_self_loops_unit_weights(self):
         rng = np.random.default_rng(8)

@@ -167,7 +167,6 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
     seed = _pick(seed, config, "seed", 0)
     inputs = _inputs(graph_path, ".tvg")
     seeds = trial_seeds(seed, len(inputs))
-    out = _outdir(out_path)
     for idx, path in enumerate(inputs):
         seq = fileio.read_tvg(path)
         started = time.perf_counter()
@@ -184,6 +183,9 @@ def cmd_cluster(graph_path, method, k, seed, out_path, config_path, **flags):
                 beta=[r.beta for r in results],
             )
         report["wall_time_s"] = time.perf_counter() - started
+        # made only after an input is clustered, so a first input the library
+        # refuses leaves no directory behind
+        out = _outdir(out_path)
         fileio.write_labels(out / f"est_{path.stem}.lbl", labels)
         report_path = out / f"report_{path.stem}.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -148,25 +148,33 @@ def block_laplacian(seq: TVGraphSequence) -> scipy.sparse.csr_matrix:
     """The block-diagonal CSR Laplacian of the sequence, frame t in rows and
     columns t*n to (t+1)*n, the operator of the splitting iteration.
 
-    One ``csr_matrix((vals, (rows, cols)))`` call on every frame's Laplacian
-    entries, shifted by t*n. The result has sorted indices and no duplicates,
-    and its ``indptr``, ``indices`` and ``data`` (index dtype included) equal
-    ``scipy.sparse.block_diag`` of the per-frame CSR matrices built the same
-    way; the -w of a zero-weight edge is stored as an explicit -0.0.
+    Each frame's Laplacian entries are ordered by a stable argsort of
+    rows*n + cols and written, shifted by t*n, straight into preallocated
+    ``indptr``, ``indices`` and ``data``, so no COO copy is built. The result
+    has sorted indices and no duplicates, and its arrays (index dtype
+    included) equal ``scipy.sparse.block_diag`` of the per-frame CSR matrices
+    built by ``csr_matrix((vals, (rows, cols)))``; the -w of a zero-weight
+    edge is stored as an explicit -0.0.
     """
     import scipy.sparse
 
-    n = seq.n
-    parts = [_laplacian_entries(g) for g in seq.graphs]
-    for t, (r, c, _) in enumerate(parts):
-        # each frame's entries are fresh arrays, so they are shifted in place
-        r += t * n
-        c += t * n
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    # the per-frame entries must not live on beside scipy's copies
-    del parts
-    size = seq.t_len * n
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    n, size = seq.n, seq.t_len * seq.n
+    nnz = size + 2 * sum(g.num_edges for g in seq.graphs)
+    # scipy's own choice: 32-bit indices unless the size or nnz needs more
+    idx = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    start = 0
+    for t, g in enumerate(seq.graphs):
+        rows, cols, vals = _laplacian_entries(g)
+        order = np.argsort(rows * n + cols, kind="stable")
+        stop = start + order.size
+        indices[start:stop] = cols[order] + t * n
+        data[start:stop] = vals[order]
+        indptr[t * n + 1 : (t + 1) * n + 1] = start + np.cumsum(np.bincount(rows, minlength=n))
+        start = stop
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def largest_eigenvalue(seq: TVGraphSequence) -> float:
@@ -180,6 +188,16 @@ def largest_eigenvalue(seq: TVGraphSequence) -> float:
     return max(float(np.linalg.eigvalsh(dense_laplacian(g))[-1]) for g in seq.graphs)
 
 
+def _square_size(L) -> int:
+    """n of a 2-D square (n, n) numpy array; a ValueError for anything else."""
+    if not isinstance(L, np.ndarray) or L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise ValueError(
+            f"L must be a 2-D square numpy.ndarray, got {type(L).__name__}"
+            f" of shape {getattr(L, 'shape', None)}"
+        )
+    return L.shape[0]
+
+
 def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m smallest eigenpairs of a dense symmetric (n, n) array, such as
     dense_laplacian's, ascending; eigenvectors orthonormal, as columns.
@@ -189,12 +207,7 @@ def smallest_eigenvectors(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray
     an eigenvalue repeats across the m-th place, any orthonormal basis of its
     eigenspace is an equally valid answer.
     """
-    if not isinstance(L, np.ndarray) or L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError(
-            f"L must be a 2-D square numpy.ndarray, got {type(L).__name__}"
-            f" of shape {getattr(L, 'shape', None)}"
-        )
-    m = _require_int("m", m, 1, L.shape[0])
+    m = _require_int("m", m, 1, _square_size(L))
     vals, vecs = np.linalg.eigh(L)
     return vals[:m].copy(), vecs[:, :m].copy()
 

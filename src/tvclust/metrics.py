@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import LabelSequence
-from .graphs import _require_int, smallest_eigenvectors
+from .graphs import _require_int, _square_size, smallest_eigenvectors
 
 
 def _same_pairs(counts: np.ndarray) -> int:
@@ -48,7 +48,7 @@ def label_changes(labels) -> np.ndarray:
 def eigengap_profile(L: np.ndarray, m: int) -> np.ndarray:
     """Consecutive differences of the m smallest eigenvalues (m - 1 gaps) of a
     dense (n, n) Laplacian, such as ``graphs.dense_laplacian``'s; needs no scipy."""
-    vals, _ = smallest_eigenvectors(L, _require_int("m", m, 2))
+    vals, _ = smallest_eigenvectors(L, _require_int("m", m, 2, _square_size(L)))
     return np.diff(vals)
 
 

@@ -24,6 +24,7 @@ SLAB_FEAS_TOL = 1e-8
 DEFAULT_EPSILON_SCALE = 1e-6
 POLISH_ROUNDS = 3
 SIGMA = 1e-5  # relative change of the primal and dual iterates at which a solve settles
+CLIMB_ITERS = 1000  # consecutive iterates above the start after which a solve ends capped
 
 
 class SolverError(RuntimeError):
@@ -63,7 +64,9 @@ class SolveResult:
     `c` is a read-only (t_len, n) array; `objective` is the objective of `c`,
     while `objective_trace` holds the objectives of the iterates visited.
     `beta` is the largest eigenvalue of the Laplacians, computed exactly, that the
-    step sizes were derived from.
+    step sizes were derived from. `best_iter` is the `objective_trace` index of
+    the iterate `c` was re-projected from: `iters` for a settled run, 0 when a
+    capped run returns its start.
     """
 
     c: np.ndarray
@@ -72,6 +75,7 @@ class SolveResult:
     objective: float
     objective_trace: np.ndarray
     beta: float
+    best_iter: int
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -164,6 +168,10 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     n_dirs) coefficients d: its step is prox.slab_coefficients on the components
     of D1/g2 + Chat along the directions, the same kernel that _polish projects
     with, using the per-frame Gram matrices of the directions.
+
+    Returns (C, objective, iterations, converged, objective trace, best_iter).
+    A run that is not settled ends at max_iters, or once CLIMB_ITERS iterates in
+    a row have had objectives strictly above the start's.
     """
     t_len, n = C0.shape
     n_dirs = V.shape[1]
@@ -173,7 +181,6 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     D2, D2n = np.zeros_like(C0), np.empty_like(C0)
     d = np.zeros((t_len, n_dirs))
     coef = np.empty((t_len, n_dirs))
-    best_C = np.empty_like(C0)
     step, chat, work = np.empty_like(C0), np.empty_like(C0), np.empty_like(C0)
     diff = np.zeros_like(C0)  # temporal differences; row 0 stays zero
     diff_rest = diff[1:]
@@ -182,18 +189,14 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
 
     # the sphere constraint makes the problem nonconvex and the iteration can wander,
     # so remember the best-objective iterate seen in case the run does not settle
-    best_obj = None
     trace = np.empty(max_iters + 1)
     LC = (Lblock @ C.ravel()).reshape(t_len, n)
+    best_obj = trace[0] = _objective(C, LC, alpha, diff)
+    best_C, best_iter = C0.copy(), 0
+    climb = 0  # consecutive iterates above the start
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        obj = _objective(C, LC, alpha, diff)
-        trace[it - 1] = obj
-        if best_obj is None or obj < best_obj:
-            np.copyto(best_C, C)
-            best_obj = obj
-
         # primal: C - g1 * (LC + D1 + Dt(D2)), scaled onto the sphere; D maps frame 0
         # to zero and frame t to its difference from frame t-1, and its adjoint Dt
         # is added in place
@@ -245,24 +248,29 @@ def _iterate(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         D1, D1n = D1n, D1
         D2, D2n = D2n, D2
         LC = (Lblock @ C.ravel()).reshape(t_len, n)
+        obj = trace[it] = _objective(C, LC, alpha, diff)
         if primal_settled and dual_settled and _is_feasible(C, V, eps):
             converged = True
             break
-    obj = _objective(C, LC, alpha, diff)
-    trace[it] = obj
+        if obj < best_obj:
+            np.copyto(best_C, C)
+            best_obj, best_iter = obj, it
+        # an iterate above the start cannot be the best, so a run that has stayed
+        # above it for CLIMB_ITERS iterates ends as a capped one
+        climb = climb + 1 if obj > trace[0] else 0
+        if climb == CLIMB_ITERS:
+            break
     trace = trace[: it + 1].copy()
     if converged:
         # a settled run ends at a feasible fixed point; report the final iterate
-        return C, obj, it, converged, trace
-    if obj < best_obj:
-        best_C = C
+        return C, obj, it, converged, trace, it
     # iterates are ranked before polishing, which can lift the best one above the
     # start, so the polished start competes too
     Cb, polished_obj = _polish(best_C, Lblock, V, eps, alpha)
     Cs, start_obj = _polish(C0, Lblock, V, eps, alpha)
     if start_obj < polished_obj:
-        Cb, polished_obj = Cs, start_obj
-    return Cb, polished_obj, it, converged, trace
+        Cb, polished_obj, best_iter = Cs, start_obj, 0
+    return Cb, polished_obj, it, converged, trace, best_iter
 
 
 def pds_solve(
@@ -287,6 +295,10 @@ def pds_solve(
     once the relative changes of the primal and dual iterates are both <=
     SIGMA and the iterate is within tolerance of its slabs (the spheres hold
     by construction), or at cfg.max_iters; `converged` reports which happened.
+    A run also ends unsettled, before the cap, once CLIMB_ITERS iterates in a
+    row have had objectives strictly above its start's: the best iterate is
+    never above the start, so none of those iterates can be returned, and an
+    iterate at or below the start restarts the count.
     A settled run returns its final iterate. A capped run re-projects its
     best-objective iterate and its start onto the constraints, with the same
     slab kernel and the sphere scaling in turn, and returns the one of lower
@@ -322,7 +334,7 @@ def pds_solve(
     eps = DEFAULT_EPSILON_SCALE * np.sqrt(n)
 
     C0 = np.asarray(init, dtype=float)
-    C, obj, iters, converged, trace = _iterate(
+    C, obj, iters, converged, trace, best_iter = _iterate(
         op.matrix, V, eps, cfg.alpha, g1, g2, SIGMA, cfg.max_iters, C0
     )
     # a settled run is inside its slabs by its stopping test; a capped one may not be
@@ -338,4 +350,5 @@ def pds_solve(
         objective=obj,
         objective_trace=trace,
         beta=op.beta,
+        best_iter=best_iter,
     )

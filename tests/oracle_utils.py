@@ -204,10 +204,13 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     by Moreau's identity: the temporal dual is clipped to [-alpha, alpha], and the
     slab dual, kept as coefficients d along the directions, soft-thresholds the
     components of D1/g2 + Chat by eps in the sequential order of the slab
-    projections. Returns (C, objective, iterations, converged, objective trace)
-    like tvclust.solver._iterate."""
+    projections. A run that does not settle stops at max_iters, or at the
+    iterate tvclust.solver.CLIMB_ITERS after the last one whose objective was
+    at or below the start's. Returns (C, objective, iterations, converged,
+    objective trace, index of the returned iterate in the trace) like
+    tvclust.solver._iterate."""
     from tvclust.prox import prox_sphere_frames
-    from tvclust.solver import SolverError, _is_feasible
+    from tvclust.solver import CLIMB_ITERS, SolverError, _is_feasible
 
     def frame_diff(C):
         # frame 0 maps to zero, frame t to C[t] - C[t-1]
@@ -226,7 +229,8 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     d = np.zeros((t_len, n_dirs))
     D1 = np.zeros_like(C)
     D2 = np.zeros_like(C)
-    best = None  # (C, objective)
+    best = None  # (C, objective, trace index)
+    last_low = 0  # trace index of the last iterate at or below the start
     trace = np.empty(max_iters + 1)
     LC = (Lblock @ C.ravel()).reshape(t_len, n)
     converged = False
@@ -234,8 +238,13 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     for it in range(1, max_iters + 1):
         obj = objective(C, LC)
         trace[it - 1] = obj
+        if obj <= trace[0]:
+            last_low = it - 1
+        if it - 1 - last_low == CLIMB_ITERS:
+            it -= 1  # iterate it is the last one visited
+            break
         if best is None or obj < best[1]:
-            best = (C, obj)
+            best = (C, obj, it - 1)
         grad = LC + D1
         grad[1:] += D2[1:]  # the adjoint of frame_diff applied to D2, added row by row
         grad[:-1] -= D2[1:]
@@ -267,9 +276,9 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
     obj = objective(C, LC)
     trace[it] = obj
     if converged:
-        return C, obj, it, converged, trace[: it + 1].copy()
+        return C, obj, it, converged, trace[: it + 1].copy(), it
     if best is None or obj < best[1]:
-        best = (C, obj)
+        best = (C, obj, it)
 
     def polished(out):
         for _ in range(3):
@@ -278,8 +287,10 @@ def pds_iterate_oracle(Lblock, V, eps, alpha, g1, g2, sigma, max_iters, C0):
         return out, objective(out, (Lblock @ out.ravel()).reshape(t_len, n))
 
     # the polished start wins only when strictly lower
-    out, out_obj = min(polished(best[0]), polished(C0), key=lambda p: p[1])
-    return out, out_obj, it, converged, trace[: it + 1].copy()
+    out, out_obj, out_iter = min(
+        (*polished(best[0]), best[2]), (*polished(C0), 0), key=lambda p: p[1]
+    )
+    return out, out_obj, it, converged, trace[: it + 1].copy(), out_iter
 
 
 def warm_start_oracle(x0, V, rng):

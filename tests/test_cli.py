@@ -456,6 +456,21 @@ class TestCluster:
         assert "Error: seed must be >= 0" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["static-sc", "tv-pds"])
+    def test_refused_k_leaves_no_out_directory(self, runner, tmp_path, method):
+        # the library refuses k only once it has read a graph, which used to be
+        # after --out was made
+        seq, _ = small_sequence()
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        out = tmp_path / "run"
+        res = runner.invoke(main, [
+            "cluster", "--graph", str(tmp_path / "g.tvg"), "--method", method,
+            "--k", str(seq.n + 1), "--out", str(out),
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"Error: k must be in [2, {seq.n}], got {seq.n + 1}" in res.output
+        assert not out.exists()
+
     def test_static_sc_accepts_solver_config_keys(self, runner, tmp_path):
         seq, _ = small_sequence(seed=2)
         fileio.write_tvg(tmp_path / "g.tvg", seq)
@@ -843,3 +858,14 @@ class TestEigengap:
             ])
             assert res.exit_code == 1
             assert not (tmp_path / "eig").exists()
+
+    @pytest.mark.parametrize("m", ["1", "13"])
+    def test_out_of_range_m_names_its_range(self, runner, tmp_path, m):
+        seq, _ = small_sequence(seed=8)
+        fileio.write_tvg(tmp_path / "g.tvg", seq)
+        res = runner.invoke(main, [
+            "eigengap", "--graph", str(tmp_path / "g.tvg"), "--m", m,
+            "--out", str(tmp_path / "eig"),
+        ])
+        assert res.exit_code == 1
+        assert f"Error: m must be in [2, {seq.n}], got {m}" in res.output

@@ -114,8 +114,20 @@ class TestEigengapProfile:
         assert gaps.shape == (1,)
         assert gaps[0] == pytest.approx(1.0, abs=1e-10)
         # m = 1 used to give an empty profile
-        with pytest.raises(ValueError, match="m must be >= 2"):
+        with pytest.raises(ValueError, match=r"m must be in \[2, 3\], got 1"):
             eigengap_profile(dense_laplacian(g), 1)
+
+    def test_m_above_n_names_the_range_from_two(self):
+        # the upper bound used to be left to smallest_eigenvectors, whose message
+        # named a lower bound of 1
+        L = dense_laplacian(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        with pytest.raises(ValueError, match=r"^m must be in \[2, 3\], got 4$"):
+            eigengap_profile(L, 4)
+
+    def test_checks_the_array_before_m(self):
+        # n bounds m, so a non-square array is refused whatever m is
+        with pytest.raises(ValueError, match="L must be a 2-D square numpy.ndarray"):
+            eigengap_profile(np.zeros((3, 4)), 1)
 
 
 class TestAccuracyReport:

@@ -516,3 +516,93 @@ class TestPdsSolve:
         want = objective_oracle([dense_laplacian(g) for g in seq.graphs], res.c, cfg.alpha)
         assert res.objective == pytest.approx(want, rel=1e-12)
         assert res.objective_trace[-1] != pytest.approx(want, rel=1e-3)
+
+
+def _climbing_solve(max_iters):
+    """A capped solve at a large alpha whose iterates leave the start at once:
+    above it for iterates 1-46, at or below it for 47-55, above for 56-60,
+    below for 61-66, above for 67-76, below for 77-79, above from 80 to 186."""
+    seq, _ = sbm_tv_sequence(SbmTvParams(10, 2, 6, 0.5, 0.2, 0.05, seed=7))
+    _, _, (res,) = tv_cluster_multi(seq, 2, SolverConfig(alpha=4.0, seed=7, max_iters=max_iters))
+    return res
+
+
+def _climb_stop(trace, climb_iters):
+    """The trace index at which CLIMB_ITERS consecutive iterates above the start
+    end, from the definition; None if no such run occurs."""
+    last_low = 0
+    for i, obj in enumerate(trace):
+        if obj <= trace[0]:
+            last_low = i
+        elif i - last_low == climb_iters:
+            return i
+    return None
+
+
+class TestClimbExit:
+    """A run that stays above its start for CLIMB_ITERS iterates ends as a capped one."""
+
+    def test_stops_climb_iters_after_its_last_low(self):
+        full = _climbing_solve(max_iters=600)
+        assert (full.iters, full.converged, full.best_iter) == (600, False, 0)
+        with mock.patch.object(tvclust.solver, "CLIMB_ITERS", 30):
+            res = _climbing_solve(max_iters=600)
+        assert (res.iters, res.converged, res.best_iter) == (30, False, 0)
+        assert np.array_equal(res.objective_trace, full.objective_trace[:31])
+        # the best iterate, here the start, comes before the climb, so the cut
+        # run returns what the full one does
+        assert res.c.tobytes() == full.c.tobytes()
+        assert res.objective == full.objective
+
+    def test_a_dip_to_the_start_resets_the_count(self):
+        full = _climbing_solve(max_iters=600)
+        assert _climb_stop(full.objective_trace, 50) == 129
+        with mock.patch.object(tvclust.solver, "CLIMB_ITERS", 50):
+            res = _climbing_solve(max_iters=600)
+        assert (res.iters, res.converged) == (129, False)
+        trace = res.objective_trace
+        assert np.array_equal(trace, full.objective_trace[:130])
+        # more than CLIMB_ITERS iterates above the start, but never that many in a row
+        above = trace > trace[0]
+        assert above.sum() > 50
+        assert above[-50:].all() and not above[-51]
+        # iterate 64 polishes below the start; the full run returns its start,
+        # because its pre-polish best moved on to iterate 310, which polishes higher
+        assert res.best_iter == 64
+        assert res.objective < full.objective
+
+    @pytest.mark.parametrize(
+        "script, stop",
+        [
+            ([0, 1, 1, 0, 1, 1, 1], 6),  # a tie with the start resets the count
+            ([0, 1, 1, -1, 1, 1, 1], 6),
+            ([0, 1, 1, 1], 3),
+        ],
+        ids=["tie", "below", "climb"],
+    )
+    def test_counts_strictly_above_iterates_in_a_row(self, script, stop):
+        """The loop's objectives are scripted: start + script[i] at iterate i."""
+        real = tvclust.solver._objective
+        calls = []
+
+        def scripted(*args):
+            value = real(*args)
+            calls.append(value)
+            # the loop's objectives come first; the re-projections' are real
+            return calls[0] + script[len(calls) - 1] if len(calls) <= len(script) else value
+
+        with mock.patch.object(tvclust.solver, "CLIMB_ITERS", 3), \
+                mock.patch.object(tvclust.solver, "_objective", scripted):
+            res = _climbing_solve(max_iters=600)
+        assert (res.iters, res.converged, res.best_iter) == (stop, False, 0)
+        assert res.objective_trace.tolist() == [calls[0] + s for s in script[: stop + 1]]
+
+    def test_leaves_a_slowly_settling_solve_alone(self):
+        # level 1 of criterion 3's battery settles at 6 846 iterations with its best
+        # pre-polish iterate at 10; a rule that counted iterations since the last
+        # new best would cut it at about 2 000 and return a higher objective
+        seq, _ = sbm_tv_sequence(SbmTvParams(10, 3, 5, 0.9, 0.05, 0.05, seed=1031))
+        _, _, results = tv_cluster_multi(seq, 3, SolverConfig(alpha=1.0, seed=7))
+        assert (results[0].iters, results[0].converged) == (6846, True)
+        assert results[0].best_iter == 6846
+        assert int(np.argmin(results[0].objective_trace)) == 10
